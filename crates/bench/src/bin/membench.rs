@@ -19,6 +19,12 @@
 //!   the spill pool, arena free lists, journal vectors, order-key
 //!   respacing — is recycled, so the gate is **exactly zero** allocations
 //!   per rewrite step.
+//! - **steady_declarative**: warmed applications of the paper's Listing 1
+//!   `conorm` pattern, loaded from the pattern DSL, each followed by
+//!   incremental re-verification of the journaled changes — the checked
+//!   rewrite path end to end. Slot-compiled matching, inline operand
+//!   materialization and the thread-local verifier scratch leave nothing
+//!   to allocate, so this gate is also **exactly zero** per step.
 //!
 //! The throughput baselines are the PR 8 numbers recorded in
 //! BENCH_bytecode.json on this machine; the alloc gates are
@@ -42,8 +48,9 @@ use irdl::genir::{instantiate_op, Instantiation};
 use irdl_ir::bytecode::{decode_module, encode_module};
 use irdl_ir::parse::parse_module;
 use irdl_ir::print::op_to_string;
-use irdl_ir::{ChangeJournal, Context, OpRef, OperationState};
-use irdl_rewrite::Rewriter;
+use irdl_dialects::showcase::{build_conorm_module, CONORM_PATTERN};
+use irdl_ir::{ChangeJournal, Context, IncrementalVerifier, OpRef, OperationState};
+use irdl_rewrite::{parse_patterns, Rewriter};
 
 // ---------------------------------------------------------------------------
 // Gates and baselines
@@ -56,6 +63,8 @@ const MAX_PARSE_ALLOCS_PER_OP: f64 = 3.0;
 const MAX_DECODE_ALLOCS_PER_OP: f64 = 2.0;
 /// A warmed rewrite step must not allocate at all.
 const MAX_REWRITE_ALLOCS: u64 = 0;
+/// Nor may a warmed, incrementally re-verified declarative application.
+const MAX_DECLARATIVE_ALLOCS: u64 = 0;
 /// Parse and decode must beat the PR 8 baseline by at least this factor.
 const REQUIRED_THROUGHPUT_SPEEDUP: f64 = 1.3;
 
@@ -287,6 +296,72 @@ fn run_steady_rewrite(steps: usize) -> RewriteReport {
     RewriteReport { steps, total_allocs, steps_per_sec: steps as f64 / secs }
 }
 
+/// Warmed `conorm` applications: each step plants a fresh
+/// `mulf(norm(p), norm(q))` site feeding the function's return (erasing
+/// the previous step's output), applies the DSL pattern through
+/// `match_and_rewrite`, and re-verifies the journal with
+/// `IncrementalVerifier::verify_changes`. After warmup the step count is
+/// exact: zero heap allocations.
+fn run_steady_declarative(steps: usize) -> RewriteReport {
+    let mut ctx = irdl_bench::showcase_context();
+    let patterns = parse_patterns(&mut ctx, CONORM_PATTERN).expect("conorm parses");
+    let conorm = &*patterns.patterns()[0];
+    let module = build_conorm_module(&mut ctx).expect("conorm module builds");
+    let func = ctx.module_block(module).ops(&ctx)[0];
+    let entry = func.region(&ctx, 0).blocks(&ctx)[0];
+    let ret = *entry.ops(&ctx).last().expect("entry block ends in a return");
+    let f32t = ctx.f32_type();
+    let (p, q) = (entry.arg(&ctx, 0), entry.arg(&ctx, 1));
+    let norm = ctx.op_name("cmath", "norm");
+    let mulf = ctx.op_name("arith", "mulf");
+
+    let mut verifier = IncrementalVerifier::new();
+    verifier.verify_full(&ctx, module).expect("conorm module verifies");
+    let mut journal = ChangeJournal::new();
+    let mut apply = |ctx: &mut Context, site: OpRef| {
+        journal.clear();
+        let mut rw = Rewriter::new(ctx, site, &mut journal);
+        assert!(conorm.match_and_rewrite(&mut rw), "conorm site matches");
+        assert!(verifier.verify_changes(ctx, &journal).is_ok(), "rewrite verifies");
+    };
+    // The module's own site first.
+    let first = ret.operand(&ctx, 0).defining_op(&ctx).expect("mulf feeds the return");
+    apply(&mut ctx, first);
+    let mut step = |ctx: &mut Context| {
+        let old_norm = ret.operand(ctx, 0).defining_op(ctx).expect("norm feeds the return");
+        let old_mul = old_norm.operand(ctx, 0).defining_op(ctx).expect("mul feeds the norm");
+        let add = |ctx: &mut Context, state: OperationState| {
+            let op = ctx.create_op(state.add_result_types([f32t]));
+            ctx.insert_op_before(ret, op);
+            op
+        };
+        let np = add(ctx, OperationState::new(norm).add_operands([p])).result(ctx, 0);
+        let nq = add(ctx, OperationState::new(norm).add_operands([q])).result(ctx, 0);
+        let site = add(ctx, OperationState::new(mulf).add_operands([np, nq]));
+        ctx.set_operand(ret, 0, site.result(ctx, 0));
+        ctx.erase_op(old_norm);
+        ctx.erase_op(old_mul);
+        apply(ctx, site);
+    };
+
+    // Warmup: grow every reusable buffer (journal, verifier sets,
+    // dominance cache, spill pool, arena free lists, thread-local eval
+    // scratch) so the measured loop runs on recycled storage.
+    for _ in 0..4096 {
+        step(&mut ctx);
+    }
+
+    let before = allocs();
+    let start = Instant::now();
+    for _ in 0..steps {
+        step(&mut ctx);
+    }
+    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    let total_allocs = allocs() - before;
+
+    RewriteReport { steps, total_allocs, steps_per_sec: steps as f64 / secs }
+}
+
 // ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
@@ -295,7 +370,7 @@ fn json_f(value: f64) -> String {
     if value.is_finite() { format!("{value:.1}") } else { "null".to_string() }
 }
 
-fn report_json(load: &LoadReport, rewrite: &RewriteReport) -> String {
+fn report_json(load: &LoadReport, rewrite: &RewriteReport, declarative: &RewriteReport) -> String {
     format!(
         concat!(
             "{{\n",
@@ -304,6 +379,7 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport) -> String {
             "  \"max_parse_allocs_per_op\": {},\n",
             "  \"max_decode_allocs_per_op\": {},\n",
             "  \"max_rewrite_allocs_per_step\": {},\n",
+            "  \"max_declarative_allocs_per_step\": {},\n",
             "  \"required_throughput_speedup\": {},\n",
             "  \"baseline\": {{\n",
             "    \"note\": \"PR 8 (pre-compact-storage) corpus numbers, this machine\",\n",
@@ -330,12 +406,18 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport) -> String {
             "    \"steps\": {},\n",
             "    \"total_allocs\": {},\n",
             "    \"steps_per_sec\": {}\n",
+            "  }},\n",
+            "  \"steady_declarative\": {{\n",
+            "    \"steps\": {},\n",
+            "    \"total_allocs\": {},\n",
+            "    \"steps_per_sec\": {}\n",
             "  }}\n",
             "}}\n",
         ),
         MAX_PARSE_ALLOCS_PER_OP,
         MAX_DECODE_ALLOCS_PER_OP,
         MAX_REWRITE_ALLOCS,
+        MAX_DECLARATIVE_ALLOCS,
         REQUIRED_THROUGHPUT_SPEEDUP,
         json_f(PR8_PARSE_OPS_PER_SEC),
         json_f(PR8_DECODE_OPS_PER_SEC),
@@ -352,6 +434,9 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport) -> String {
         rewrite.steps,
         rewrite.total_allocs,
         json_f(rewrite.steps_per_sec),
+        declarative.steps,
+        declarative.total_allocs,
+        json_f(declarative.steps_per_sec),
     )
 }
 
@@ -385,7 +470,13 @@ fn main() {
         rewrite.steps, rewrite.total_allocs, rewrite.steps_per_sec,
     );
 
-    let json = report_json(&load, &rewrite);
+    let declarative = run_steady_declarative(rewrite_steps / 4);
+    eprintln!(
+        "steady_declarative: {} steps, {} total allocs, {:.0} steps/s",
+        declarative.steps, declarative.total_allocs, declarative.steps_per_sec,
+    );
+
+    let json = report_json(&load, &rewrite, &declarative);
     print!("{json}");
     if quick {
         eprintln!("quick mode: not rewriting BENCH_mem.json");
@@ -414,6 +505,14 @@ fn main() {
         eprintln!(
             "FAIL: steady-state rewrite performed {} allocations over {} steps (gate: {})",
             rewrite.total_allocs, rewrite.steps, MAX_REWRITE_ALLOCS
+        );
+        failed = true;
+    }
+    if declarative.total_allocs > MAX_DECLARATIVE_ALLOCS {
+        eprintln!(
+            "FAIL: steady-state declarative rewrite performed {} allocations over {} steps \
+             (gate: {})",
+            declarative.total_allocs, declarative.steps, MAX_DECLARATIVE_ALLOCS
         );
         failed = true;
     }

@@ -25,6 +25,7 @@
 //! immutable indices: a `!cmath.complex<f32>` checked once is checked
 //! forever.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use irdl_ir::attrs::AttrData;
@@ -812,26 +813,30 @@ impl ProgramOpVerifier {
     }
 }
 
-/// Runs `f` with the context's parked [`EvalScratch`], parking it again
-/// afterwards so the buffers are reused across verifier runs.
+thread_local! {
+    /// The calling thread's parked [`EvalScratch`] (see [`with_scratch`]).
+    static PARKED_SCRATCH: Cell<Option<EvalScratch>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the calling thread's parked [`EvalScratch`], parking it
+/// again afterwards so the buffers are reused across verifier runs.
 ///
-/// The scratch lives on the [`Context`] (not the verifier) so verifier
-/// objects stay stateless and shareable across threads. If the slot is
-/// empty — first use, or a native verifier re-entered verification while a
-/// run was in flight — a fresh scratch is used, which keeps nesting safe.
-fn with_ctx_scratch<R>(ctx: &Context, f: impl FnOnce(&mut EvalScratch) -> R) -> R {
-    let mut scratch: Box<EvalScratch> = match ctx.take_eval_scratch() {
-        Some(parked) => parked.downcast().unwrap_or_default(),
-        None => Box::default(),
-    };
+/// The scratch lives in a thread-local (not the verifier) so verifier
+/// objects stay stateless and shareable across threads, and each parallel
+/// verification worker reuses its own buffers without a lock. If the slot
+/// is empty — first use, or a native verifier re-entered verification
+/// while a run was in flight — a fresh scratch is used, which keeps
+/// nesting safe.
+fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
+    let mut scratch = PARKED_SCRATCH.take().unwrap_or_default();
     let result = f(&mut scratch);
-    ctx.put_eval_scratch(scratch);
+    PARKED_SCRATCH.set(Some(scratch));
     result
 }
 
 impl irdl_ir::OpVerifier for ProgramOpVerifier {
     fn verify(&self, ctx: &Context, op: OpRef) -> Result<()> {
-        let ok = with_ctx_scratch(ctx, |scratch| {
+        let ok = with_scratch(|scratch| {
             self.program.check_declarative(
                 ctx,
                 op,
@@ -894,7 +899,7 @@ impl ProgramParamsVerifier {
 
 impl irdl_ir::ParamsVerifier for ProgramParamsVerifier {
     fn verify(&self, ctx: &Context, params: &[Attribute]) -> Result<()> {
-        let ok = with_ctx_scratch(ctx, |scratch| self.check(ctx, params, scratch));
+        let ok = with_scratch(|scratch| self.check(ctx, params, scratch));
         if ok {
             return Ok(());
         }

@@ -1,6 +1,5 @@
 //! The [`Context`]: owner of all IR state.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,12 +40,6 @@ pub struct Context {
     verdict_hits: AtomicU64,
     verdict_misses: AtomicU64,
     next_verdict_domain: u32,
-    /// Per-context evaluation scratch parked here between verifier runs so
-    /// shared (`Arc`'d, stateless) verifier objects stay `Sync`. Type-erased
-    /// because the scratch type lives in a downstream crate; a pool (not a
-    /// single slot) so N parallel verification workers each get a reusable
-    /// scratch instead of allocating fresh ones on every op.
-    eval_scratch: Mutex<Vec<Box<dyn Any + Send>>>,
     /// Recycled spill buffers for oversized [`OperationData`] lists.
     /// `erase_op` harvests spilled buffers here instead of freeing them;
     /// `create_op` draws from here instead of allocating — so steady-state
@@ -207,7 +200,7 @@ impl Clone for Context {
     /// the clone resolves to the same value as in the original — so compiled
     /// artifacts built against the original remain valid in the clone, and
     /// the cloned verdict cache is warm *and* sound. Hit/miss counters reset
-    /// to zero; evaluation scratch starts empty.
+    /// to zero.
     fn clone(&self) -> Self {
         Context {
             symbols: self.symbols.clone(),
@@ -222,7 +215,6 @@ impl Clone for Context {
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
             next_verdict_domain: self.next_verdict_domain,
-            eval_scratch: Mutex::new(Vec::new()),
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
         }
@@ -266,7 +258,6 @@ impl Context {
             verdict_hits: AtomicU64::new(0),
             verdict_misses: AtomicU64::new(0),
             next_verdict_domain: 0,
-            eval_scratch: Mutex::new(Vec::new()),
             spill_pool: SpillPool::default(),
             erase_scratch: EraseScratch::default(),
         };
@@ -388,31 +379,6 @@ impl Context {
     /// the memoized path.
     pub fn clear_verdict_cache(&self) {
         self.verdict_cache.clear();
-    }
-
-    // ----- Evaluation scratch ----------------------------------------------
-
-    /// Takes one parked evaluation scratch from the pool, if any.
-    ///
-    /// Verifier implementations park reusable evaluation buffers here so
-    /// the verifier objects themselves can be shared across threads. The
-    /// pool is type-erased; callers downcast to their own scratch type and
-    /// fall back to a fresh value on mismatch or when the pool is empty
-    /// (which also makes nested verification re-entrant). Holding a pool
-    /// rather than a single slot means each of N parallel verification
-    /// workers acquires its own reusable scratch.
-    pub fn take_eval_scratch(&self) -> Option<Box<dyn Any + Send>> {
-        self.eval_scratch.lock().unwrap().pop()
-    }
-
-    /// Parks evaluation scratch for the next verifier run.
-    pub fn put_eval_scratch(&self, scratch: Box<dyn Any + Send>) {
-        let mut pool = self.eval_scratch.lock().unwrap();
-        // Bound the pool: steady state needs one entry per concurrent
-        // verification worker; anything beyond a generous cap is churn.
-        if pool.len() < 64 {
-            pool.push(scratch);
-        }
     }
 
     // ----- Entity arenas ---------------------------------------------------

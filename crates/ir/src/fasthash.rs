@@ -10,11 +10,14 @@
 //!
 //! Not suitable for tables keyed directly by untrusted external input.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` using [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// A `HashSet` using [`FastHasher`].
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// Multiply-rotate-xor hasher; see the module docs for the contract.
 #[derive(Debug, Default, Clone)]

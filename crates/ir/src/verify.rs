@@ -12,13 +12,13 @@
 //! 3. **Registered verifiers**: the per-operation hooks synthesized by the
 //!    IRDL compiler from declarative constraints (or written natively).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::Diagnostic;
 use crate::dominance::DominanceCache;
+use crate::fasthash::FastSet;
 use crate::journal::ChangeJournal;
 use crate::op::OpRef;
 use crate::region::RegionRef;
@@ -260,9 +260,9 @@ impl ModuleVerifier {
 pub struct IncrementalVerifier {
     dominance: DominanceCache,
     diags: Vec<Diagnostic>,
-    seen_ops: HashSet<OpRef>,
-    seen_blocks: HashSet<BlockRef>,
-    seen_regions: HashSet<RegionRef>,
+    seen_ops: FastSet<OpRef>,
+    seen_blocks: FastSet<BlockRef>,
+    seen_regions: FastSet<RegionRef>,
 }
 
 impl IncrementalVerifier {
@@ -597,7 +597,7 @@ impl<'a, 'b> Verifier<'a, 'b> {
             return;
         }
         if let Some(info) = ctx.op_info(op) {
-            if let Some(verifier) = info.verifier.clone() {
+            if let Some(verifier) = &info.verifier {
                 if let Err(diag) = verifier.verify(ctx, op) {
                     self.diags
                         .push(diag.with_note(format!("in operation `{}`", name.display(ctx))));

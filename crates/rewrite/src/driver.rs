@@ -1,8 +1,7 @@
 //! The greedy worklist rewrite driver.
 
-use std::collections::HashSet;
-
 use irdl_ir::diag::Diagnostic;
+use irdl_ir::fasthash::FastSet;
 use irdl_ir::verify::{IncrementalVerifier, ModuleVerifier};
 use irdl_ir::walk::collect_ops;
 use irdl_ir::{ChangeJournal, Context, OpRef};
@@ -186,7 +185,7 @@ fn drive(
     let mut worklist: Vec<OpRef> = collect_ops(ctx, container);
     // The container itself is not rewritten.
     worklist.retain(|op| *op != container);
-    let mut enqueued: HashSet<OpRef> = worklist.iter().copied().collect();
+    let mut enqueued: FastSet<OpRef> = worklist.iter().copied().collect();
     // One journal, recycled across applications: the driver's requeue list
     // and the incremental verifier's dirty set are the same record, so the
     // hot loop allocates nothing per rewrite.

@@ -29,28 +29,44 @@
 //! operand list — `cmath.norm(%p) {fast = true}` — requiring (or setting)
 //! exact attribute values: integer, string, or boolean literals.
 //!
-//! Because a declarative pattern's match side is fully structural, it also
-//! lowers to a [`MatchProgram`] (see [`crate::matcher`]): the driver can
-//! test the whole catalog against an op with one automaton evaluation
-//! instead of one `try_match` walk per pattern.
-
-use std::collections::HashMap;
+//! A pattern is data, so its interpretation overhead is paid once, at parse
+//! time: every `%name` resolves to a dense *slot* index and every match
+//! operand to the match op producing it. Matching then binds values and ops
+//! in inline slot arrays and materializes operands straight into an
+//! [`OperationState`], so an application neither hashes a string nor
+//! touches the allocator. The same slot table drives the lowering to a
+//! [`MatchProgram`] (see [`crate::matcher`]): the driver can test the whole
+//! catalog against an op with one automaton evaluation instead of one
+//! `try_match` walk per pattern.
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::lexer::{lex, Spanned, Token};
-use irdl_ir::{Attribute, Context, OpName, OperationState, OpRef, Symbol, Value};
+use irdl_ir::{Attribute, Context, InlineVec, OpName, OperationState, OpRef, Symbol, Value};
 
 use crate::matcher::{MatchProgram, OpPath, Pred, ValuePos};
 use crate::pattern::{PatternSet, RewritePattern, Rewriter};
 
+/// Slots held inline by an application's binding arrays; patterns with more
+/// variables (or match ops) spill those arrays to the heap.
+const INLINE_SLOTS: usize = 8;
+
+/// One operand of a match op template.
+#[derive(Debug, Clone)]
+struct MatchOperand {
+    /// Slot of the operand's variable.
+    slot: usize,
+    /// The *other* match op whose result the variable names, if any: the
+    /// operand must then be produced by an op matching that template.
+    producer: Option<usize>,
+}
+
 /// One operation template in a `Match` block.
 #[derive(Debug, Clone)]
 struct MatchOp {
-    /// Variable bound to the single result (`None` for zero-result ops).
-    def: Option<String>,
+    /// Slot bound to the single result (`None` for zero-result ops).
+    def: Option<usize>,
     name: OpName,
-    /// Operand variable names.
-    operands: Vec<String>,
+    operands: Vec<MatchOperand>,
     /// Required attribute values from the `{key = literal, ...}` clause.
     attrs: Vec<(Symbol, Attribute)>,
 }
@@ -58,13 +74,16 @@ struct MatchOp {
 /// One operation template in a `Rewrite` block.
 #[derive(Debug, Clone)]
 struct RewriteOp {
-    def: Option<String>,
+    /// Slot the result is bound to (rebinding a match variable is allowed:
+    /// later references see the new value).
+    def: Option<usize>,
     name: OpName,
-    operands: Vec<String>,
+    /// Operand slots.
+    operands: Vec<usize>,
     /// Attributes to set on the materialized op.
     attrs: Vec<(Symbol, Attribute)>,
-    /// `typeof(%v)` sources for each result (one per result).
-    result_types_of: Vec<String>,
+    /// Slots whose value types become the result types (one per result).
+    result_types_of: Vec<usize>,
 }
 
 /// A parsed declarative pattern; implements [`RewritePattern`].
@@ -73,10 +92,35 @@ pub struct DeclarativePattern {
     name: String,
     /// Relative priority from the optional `benefit N` clause (default 1).
     benefit: usize,
+    /// Number of variable slots, match and rewrite side together.
+    slots: usize,
+    /// Match templates; the last one is the root.
     match_ops: Vec<MatchOp>,
     rewrite_ops: Vec<RewriteOp>,
-    /// `Replace <root def var> with <replacement var>`.
-    replace_with: String,
+    /// Slot of the replacement in `Replace <root def var> with <var>`.
+    replace_with: usize,
+}
+
+/// Per-application slot arrays: the value bound to each variable and the
+/// op matched by each match template.
+struct Bindings {
+    values: InlineVec<Option<Value>, INLINE_SLOTS>,
+    ops: InlineVec<Option<OpRef>, INLINE_SLOTS>,
+}
+
+impl Bindings {
+    fn new(pattern: &DeclarativePattern) -> Self {
+        Bindings {
+            values: std::iter::repeat_n(None, pattern.slots).collect(),
+            ops: std::iter::repeat_n(None, pattern.match_ops.len()).collect(),
+        }
+    }
+
+    /// The value in `slot`, which parse-time validation guarantees is bound
+    /// wherever the rewrite reads it.
+    fn value(&self, slot: usize) -> Value {
+        self.values[slot].expect("rewrite reads only slots bound at parse time")
+    }
 }
 
 /// Parses a sequence of `Pattern` definitions into a [`PatternSet`].
@@ -96,7 +140,34 @@ pub fn parse_patterns(ctx: &mut Context, source: &str) -> Result<PatternSet> {
 }
 
 /// Parsed `[%def =] dialect.op(%operand, ...) [{key = value, ...}]`.
-type OpHead = (Option<String>, OpName, Vec<String>, Vec<(Symbol, Attribute)>);
+struct OpHead {
+    /// Source offset of the op's first token.
+    offset: usize,
+    def: Option<String>,
+    name: OpName,
+    operands: Vec<String>,
+    attrs: Vec<(Symbol, Attribute)>,
+}
+
+/// Interns `%name` variables to dense slot indices while a pattern is
+/// compiled. Patterns are small, so a linear scan beats hashing.
+#[derive(Default)]
+struct SlotTable<'p> {
+    names: Vec<&'p str>,
+}
+
+impl<'p> SlotTable<'p> {
+    fn get(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| *n == name)
+    }
+
+    fn slot(&mut self, name: &'p str) -> usize {
+        self.get(name).unwrap_or_else(|| {
+            self.names.push(name);
+            self.names.len() - 1
+        })
+    }
+}
 
 struct DslParser<'s, 'c> {
     ctx: &'c mut Context,
@@ -183,7 +254,7 @@ impl<'s, 'c> DslParser<'s, 'c> {
         self.expect(&Token::LBrace)?;
         let mut match_ops = Vec::new();
         while self.peek() != &Token::RBrace {
-            match_ops.push(self.parse_match_op()?);
+            match_ops.push(self.parse_op_head()?);
         }
         self.expect(&Token::RBrace)?;
         if match_ops.is_empty() {
@@ -216,32 +287,123 @@ impl<'s, 'c> DslParser<'s, 'c> {
         self.expect(&Token::RBrace)?;
         let replace_with = replace_with
             .ok_or_else(|| self.error("Rewrite block must end with a `Replace ... with ...`"))?;
+        self.compile(name, benefit, &match_ops, &rewrite_ops, &replace_with)
+    }
+
+    /// The slot compiler: resolves every variable to a slot and every match
+    /// operand to its producer, rejecting shapes a match could not bind
+    /// completely or a rewrite could not materialize.
+    fn compile(
+        &self,
+        name: String,
+        benefit: usize,
+        match_heads: &[OpHead],
+        rewrite_heads: &[(OpHead, Vec<String>)],
+        replace_with: &str,
+    ) -> Result<DeclarativePattern> {
+        let mut slots = SlotTable::default();
+        // The match op binding each slot as its result; one per variable,
+        // so a match binds every variable exactly once.
+        let mut producer_of: Vec<Option<usize>> = Vec::new();
+        for (index, head) in match_heads.iter().enumerate() {
+            let Some(def) = &head.def else { continue };
+            let slot = slots.slot(def);
+            producer_of.resize(slots.names.len(), None);
+            if let Some(first) = producer_of[slot] {
+                return Err(Diagnostic::at(
+                    head.offset,
+                    format!(
+                        "`%{def}` is already the result of match op `{}`; a match \
+                         variable may be defined only once",
+                        match_heads[first].name.display(self.ctx)
+                    ),
+                ));
+            }
+            producer_of[slot] = Some(index);
+        }
+        let match_ops: Vec<MatchOp> = match_heads
+            .iter()
+            .enumerate()
+            .map(|(index, head)| MatchOp {
+                def: head.def.as_deref().map(|def| slots.slot(def)),
+                name: head.name,
+                operands: head
+                    .operands
+                    .iter()
+                    .map(|var| {
+                        let slot = slots.slot(var);
+                        let producer = producer_of.get(slot).copied().flatten();
+                        MatchOperand { slot, producer: producer.filter(|&p| p != index) }
+                    })
+                    .collect(),
+                attrs: head.attrs.clone(),
+            })
+            .collect();
+        // Matching walks from the root through producer edges, so an op
+        // the root does not reach would never be bound.
+        let root = match_ops.len() - 1;
+        let mut reached = vec![false; match_ops.len()];
+        reached[root] = true;
+        let mut stack = vec![root];
+        while let Some(index) = stack.pop() {
+            for producer in match_ops[index].operands.iter().filter_map(|o| o.producer) {
+                if !std::mem::replace(&mut reached[producer], true) {
+                    stack.push(producer);
+                }
+            }
+        }
+        if let Some(orphan) = reached.iter().position(|r| !r) {
+            return Err(Diagnostic::at(
+                match_heads[orphan].offset,
+                format!(
+                    "match op `{}` does not feed the root `{}`; every match op must \
+                     reach the root through operands",
+                    match_ops[orphan].name.display(self.ctx),
+                    match_ops[root].name.display(self.ctx)
+                ),
+            ));
+        }
         // Every variable the rewrite reads must be bound by the match (an
         // operand or result var) or defined by an earlier rewrite op, so a
         // failed lookup can never occur mid-rewrite (which would leave
         // partially materialized IR behind).
-        let mut bound: Vec<&str> = Vec::new();
-        for op in &match_ops {
-            bound.extend(op.operands.iter().map(String::as_str));
-            bound.extend(op.def.as_deref());
-        }
-        for op in &rewrite_ops {
-            for var in op.operands.iter().chain(op.result_types_of.iter()) {
-                if !bound.contains(&var.as_str()) {
-                    return Err(self.error(format!(
+        let mut bound = vec![true; slots.names.len()];
+        let mut rewrite_ops = Vec::with_capacity(rewrite_heads.len());
+        for (head, result_types_of) in rewrite_heads {
+            let resolve = |var: &String| {
+                slots.get(var).filter(|&slot| bound[slot]).ok_or_else(|| {
+                    self.error(format!(
                         "rewrite references `%{var}`, which neither the match nor an \
                          earlier rewrite op binds"
-                    )));
-                }
+                    ))
+                })
+            };
+            let operands = head.operands.iter().map(resolve).collect::<Result<Vec<_>>>()?;
+            let result_types_of = result_types_of.iter().map(resolve).collect::<Result<Vec<_>>>()?;
+            let def = head.def.as_deref().map(|def| slots.slot(def));
+            if let Some(slot) = def {
+                bound.resize(slots.names.len(), false);
+                bound[slot] = true;
             }
-            bound.extend(op.def.as_deref());
+            rewrite_ops.push(RewriteOp {
+                def,
+                name: head.name,
+                operands,
+                attrs: head.attrs.clone(),
+                result_types_of,
+            });
         }
-        if !bound.contains(&replace_with.as_str()) {
-            return Err(self.error(format!(
-                "Replace uses `%{replace_with}`, which nothing binds"
-            )));
-        }
-        Ok(DeclarativePattern { name, benefit, match_ops, rewrite_ops, replace_with })
+        let replace_with = slots.get(replace_with).filter(|&slot| bound[slot]).ok_or_else(|| {
+            self.error(format!("Replace uses `%{replace_with}`, which nothing binds"))
+        })?;
+        Ok(DeclarativePattern {
+            name,
+            benefit,
+            slots: slots.names.len(),
+            match_ops,
+            rewrite_ops,
+            replace_with,
+        })
     }
 
     /// Parses the optional `{key = literal, ...}` attribute clause.
@@ -289,6 +451,7 @@ impl<'s, 'c> DslParser<'s, 'c> {
     }
 
     fn parse_op_head(&mut self) -> Result<OpHead> {
+        let offset = self.tokens[self.pos].span.start;
         let def = if matches!(self.peek(), Token::ValueId(_)) {
             let def = self.expect_value()?;
             self.expect(&Token::Equals)?;
@@ -320,16 +483,12 @@ impl<'s, 'c> DslParser<'s, 'c> {
         }
         self.expect(&Token::RParen)?;
         let attrs = self.parse_attr_clause()?;
-        Ok((def, name, operands, attrs))
+        Ok(OpHead { offset, def, name, operands, attrs })
     }
 
-    fn parse_match_op(&mut self) -> Result<MatchOp> {
-        let (def, name, operands, attrs) = self.parse_op_head()?;
-        Ok(MatchOp { def, name, operands, attrs })
-    }
-
-    fn parse_rewrite_op(&mut self) -> Result<RewriteOp> {
-        let (def, name, operands, attrs) = self.parse_op_head()?;
+    /// A rewrite op head plus its `: typeof(%v), ...` result-type sources.
+    fn parse_rewrite_op(&mut self) -> Result<(OpHead, Vec<String>)> {
+        let head = self.parse_op_head()?;
         let mut result_types_of = Vec::new();
         if self.peek() == &Token::Colon {
             self.bump();
@@ -344,53 +503,40 @@ impl<'s, 'c> DslParser<'s, 'c> {
                 self.bump();
             }
         }
-        if def.is_some() && result_types_of.is_empty() {
+        if head.def.is_some() && result_types_of.is_empty() {
             return Err(self.error(
                 "rewrite op with a result needs a `: typeof(%v)` result type",
             ));
         }
-        Ok(RewriteOp { def, name, operands, attrs, result_types_of })
+        Ok((head, result_types_of))
     }
 }
 
 impl DeclarativePattern {
-    /// Attempts to match the pattern DAG rooted at `root`, returning value
-    /// and operation bindings on success.
-    fn try_match(
-        &self,
-        ctx: &Context,
-        root: OpRef,
-    ) -> Option<(HashMap<String, Value>, Vec<OpRef>)> {
-        let mut values: HashMap<String, Value> = HashMap::new();
-        let mut ops: Vec<Option<OpRef>> = vec![None; self.match_ops.len()];
-        let root_index = self.match_ops.len() - 1;
-        if !self.match_op_at(ctx, root_index, root, &mut values, &mut ops) {
-            return None;
-        }
-        let matched = ops.into_iter().map(|o| o.expect("all ops bound on success")).collect();
-        Some((values, matched))
+    /// Attempts to match the pattern DAG rooted at `root`, filling
+    /// `bindings`. On success every match template is bound: parse-time
+    /// validation guarantees the root reaches each one.
+    fn try_match(&self, ctx: &Context, root: OpRef, bindings: &mut Bindings) -> bool {
+        self.match_op_at(ctx, self.match_ops.len() - 1, root, bindings)
     }
 
+    /// Matches template `index` against `candidate`. A failure anywhere
+    /// fails the whole match, so partial bindings are simply abandoned.
     fn match_op_at(
         &self,
         ctx: &Context,
         index: usize,
         candidate: OpRef,
-        values: &mut HashMap<String, Value>,
-        ops: &mut Vec<Option<OpRef>>,
+        bindings: &mut Bindings,
     ) -> bool {
-        if let Some(bound) = ops[index] {
+        if let Some(bound) = bindings.ops[index] {
             return bound == candidate;
         }
         let template = &self.match_ops[index];
-        if candidate.name(ctx) != template.name {
-            return false;
-        }
-        if candidate.num_operands(ctx) != template.operands.len() {
-            return false;
-        }
-        let expected_results = usize::from(template.def.is_some());
-        if candidate.num_results(ctx) != expected_results {
+        if candidate.name(ctx) != template.name
+            || candidate.num_operands(ctx) != template.operands.len()
+            || candidate.num_results(ctx) != usize::from(template.def.is_some())
+        {
             return false;
         }
         for (key, value) in &template.attrs {
@@ -398,38 +544,26 @@ impl DeclarativePattern {
                 return false;
             }
         }
-        ops[index] = Some(candidate);
-        for (slot, var) in template.operands.iter().enumerate() {
+        bindings.ops[index] = Some(candidate);
+        for (slot, operand) in template.operands.iter().enumerate() {
             let actual = candidate.operand(ctx, slot);
-            // Is this variable the result of another match op?
-            if let Some(producer_index) =
-                self.match_ops.iter().position(|m| m.def.as_deref() == Some(var.as_str()))
-            {
-                if producer_index != index {
-                    let Some(def_op) = actual.defining_op(ctx) else {
-                        ops[index] = None;
-                        return false;
-                    };
-                    if !self.match_op_at(ctx, producer_index, def_op, values, ops) {
-                        ops[index] = None;
+            match operand.producer {
+                Some(producer) => {
+                    let Some(def_op) = actual.defining_op(ctx) else { return false };
+                    if !self.match_op_at(ctx, producer, def_op, bindings) {
                         return false;
                     }
-                    values.insert(var.clone(), actual);
-                    continue;
+                }
+                None => {
+                    if bindings.values[operand.slot].is_some_and(|bound| bound != actual) {
+                        return false;
+                    }
                 }
             }
-            match values.get(var) {
-                Some(bound) if *bound != actual => {
-                    ops[index] = None;
-                    return false;
-                }
-                _ => {
-                    values.insert(var.clone(), actual);
-                }
-            }
+            bindings.values[operand.slot] = Some(actual);
         }
-        if let Some(def) = &template.def {
-            values.insert(def.clone(), candidate.result(ctx, 0));
+        if let Some(def) = template.def {
+            bindings.values[def] = Some(candidate.result(ctx, 0));
         }
         true
     }
@@ -439,7 +573,8 @@ impl DeclarativePattern {
     /// check the concrete walk performs. Because every emission corresponds
     /// to a check `try_match` makes on the same position, the resulting
     /// program accepts exactly the ops `try_match` accepts — a complete
-    /// (not merely conservative) lowering.
+    /// (not merely conservative) lowering. `values` and `op_paths` are the
+    /// slot arrays of the concrete walk, holding positions instead.
     ///
     /// Returns `None` for shapes the position encoding cannot express
     /// (operand slots beyond `u8`); such patterns fall back to opaque
@@ -449,8 +584,8 @@ impl DeclarativePattern {
         index: usize,
         path: OpPath,
         preds: &mut Vec<Pred>,
-        values: &mut HashMap<String, ValuePos>,
-        op_paths: &mut HashMap<usize, OpPath>,
+        values: &mut [Option<ValuePos>],
+        op_paths: &mut [Option<OpPath>],
     ) -> Option<()> {
         let template = &self.match_ops[index];
         // Mirrors the arity checks; `name` is checked by the caller (the
@@ -466,49 +601,41 @@ impl DeclarativePattern {
         for (key, value) in &template.attrs {
             preds.push(Pred::AttrEq { path: path.clone(), key: *key, value: *value });
         }
-        op_paths.insert(index, path.clone());
-        for (slot, var) in template.operands.iter().enumerate() {
+        op_paths[index] = Some(path.clone());
+        for (slot, operand) in template.operands.iter().enumerate() {
             let slot = u8::try_from(slot).ok()?;
             let pos = ValuePos::Operand { path: path.clone(), index: slot };
-            let producer = self
-                .match_ops
-                .iter()
-                .position(|m| m.def.as_deref() == Some(var.as_str()))
-                .filter(|&p| p != index);
-            if let Some(producer_index) = producer {
-                match op_paths.get(&producer_index) {
+            match operand.producer {
+                Some(producer) => match op_paths[producer].clone() {
                     // Revisit: `bound == candidate` in the concrete walk.
                     // The producer binds exactly one result, so op equality
                     // is value equality of this operand with that result.
                     Some(bound_path) => preds.push(Pred::ValueEq {
                         a: pos.clone(),
-                        b: ValuePos::Result { path: bound_path.clone() },
+                        b: ValuePos::Result { path: bound_path },
                     }),
                     None => {
                         preds.push(Pred::OperandDef {
                             path: path.clone(),
                             index: slot,
-                            name: self.match_ops[producer_index].name,
+                            name: self.match_ops[producer].name,
                         });
                         let mut child = path.clone();
                         child.push(slot);
-                        self.lower_op(producer_index, child, preds, values, op_paths)?;
+                        self.lower_op(producer, child, preds, values, op_paths)?;
                     }
-                }
-                values.insert(var.clone(), pos);
-            } else {
-                match values.get(var) {
-                    Some(first) => {
+                },
+                None => {
+                    if let Some(first) = &values[operand.slot] {
                         preds.push(Pred::ValueEq { a: first.clone(), b: pos });
-                    }
-                    None => {
-                        values.insert(var.clone(), pos);
+                        continue;
                     }
                 }
             }
+            values[operand.slot] = Some(pos);
         }
-        if let Some(def) = &template.def {
-            values.insert(def.clone(), ValuePos::Result { path });
+        if let Some(def) = template.def {
+            values[def] = Some(ValuePos::Result { path });
         }
         Some(())
     }
@@ -534,47 +661,37 @@ impl RewritePattern for DeclarativePattern {
             root_index,
             Vec::new(),
             &mut preds,
-            &mut HashMap::new(),
-            &mut HashMap::new(),
+            &mut vec![None; self.slots],
+            &mut vec![None; self.match_ops.len()],
         )?;
         Some(MatchProgram { root: Some(self.match_ops[root_index].name), preds })
     }
 
     fn match_and_rewrite(&self, rewriter: &mut Rewriter<'_>) -> bool {
         let root = rewriter.root();
-        let Some((mut values, matched)) = self.try_match(rewriter.ctx(), root) else {
+        let mut bindings = Bindings::new(self);
+        if !self.try_match(rewriter.ctx(), root, &mut bindings) {
             return false;
-        };
-        // Materialize the rewrite ops in order. Parse-time validation
-        // guarantees every referenced variable is bound.
+        }
+        // Materialize the rewrite ops in order, building each state's
+        // inline lists straight from the slots.
         for template in &self.rewrite_ops {
-            let mut operands = Vec::with_capacity(template.operands.len());
-            for var in &template.operands {
-                let value = values[var];
-                operands.push(value);
-            }
-            let mut result_types = Vec::with_capacity(template.result_types_of.len());
-            for source in &template.result_types_of {
-                let value = values[source];
-                result_types.push(value.ty(rewriter.ctx()));
-            }
-            let mut state = OperationState::new(template.name)
-                .add_operands(operands)
-                .add_result_types(result_types);
-            for (key, value) in &template.attrs {
-                state = state.add_attribute(*key, *value);
-            }
+            let ctx = rewriter.ctx();
+            let mut state = OperationState::new(template.name);
+            state.operands.extend(template.operands.iter().map(|&slot| bindings.value(slot)));
+            state
+                .result_types
+                .extend(template.result_types_of.iter().map(|&slot| bindings.value(slot).ty(ctx)));
+            state.attributes.extend(template.attrs.iter().copied());
             let op = rewriter.insert_before_root(state);
-            if let Some(def) = &template.def {
-                let result = op.result(rewriter.ctx(), 0);
-                values.insert(def.clone(), result);
+            if let Some(def) = template.def {
+                bindings.values[def] = Some(op.result(rewriter.ctx(), 0));
             }
         }
-        let replacement = values[&self.replace_with];
-        rewriter.replace_root(&[replacement]);
+        rewriter.replace_root(&[bindings.value(self.replace_with)]);
         // Clean up interior matched ops that became dead (skip the root,
         // which replace_root already erased).
-        for op in matched.into_iter().rev() {
+        for &op in bindings.ops.iter().rev().flatten() {
             if op != root && op.is_live(rewriter.ctx()) {
                 rewriter.erase_if_unused(op);
             }
@@ -590,6 +707,36 @@ mod tests {
     use irdl_ir::parse::parse_module;
     use irdl_ir::print::op_to_string;
     use irdl_ir::verify::verify_op;
+
+    /// Parses through the module-private parser to keep the concrete
+    /// `DeclarativePattern` values (`try_match` is not on the trait).
+    fn parse_declarative(ctx: &mut Context, source: &str) -> Vec<DeclarativePattern> {
+        let tokens = lex(source).unwrap();
+        let mut parser = DslParser { ctx, tokens, pos: 0 };
+        let mut declarative = Vec::new();
+        while parser.peek() != &Token::Eof {
+            declarative.push(parser.parse_pattern().unwrap());
+        }
+        declarative
+    }
+
+    /// Drives `patterns` over `module` on a fresh context in each matcher
+    /// mode, asserts that Scan and Auto agree, and returns the rewrite
+    /// count and printed IR.
+    fn drive_both_modes(patterns: &str, module: &str) -> (usize, String) {
+        use crate::driver::{rewrite_greedily_matched, CheckLevel, MatcherMode};
+        let run = |mode| {
+            let mut ctx = Context::new();
+            let set = parse_patterns(&mut ctx, patterns).unwrap();
+            let module = parse_module(&mut ctx, module).unwrap();
+            let stats =
+                rewrite_greedily_matched(&mut ctx, module, &set, CheckLevel::Off, mode).unwrap();
+            (stats.rewrites, op_to_string(&ctx, module))
+        };
+        let scan = run(MatcherMode::Scan);
+        assert_eq!(scan, run(MatcherMode::Auto), "Scan and Auto disagree");
+        scan
+    }
 
     const CMATH: &str = r#"
 Dialect cmath {
@@ -682,36 +829,27 @@ Pattern conorm {
 
     #[test]
     fn repeated_variable_requires_equal_values() {
-        let mut ctx = Context::new();
-        irdl::register_dialects(
-            &mut ctx,
-            "Dialect toy {
-               Operation add { Operands (a: !i32, b: !i32) Results (r: !i32) }
-               Operation double { Operands (x: !i32) Results (r: !i32) }
-             }",
-        )
-        .unwrap();
-        let patterns = parse_patterns(
-            &mut ctx,
-            "Pattern p { Match { %r = toy.add(%x, %x) } Rewrite { %d = toy.double(%x) : typeof(%x) Replace %r with %d } }",
-        )
-        .unwrap();
-        let module = parse_module(
-            &mut ctx,
+        let (rewrites, text) = drive_both_modes(
+            "Pattern p { Match { %r = t.add(%x, %x) } Rewrite { %d = t.double(%x) : typeof(%x) Replace %r with %d } }",
             r#"
-            %a = "test.arg"() : () -> i32
-            %b = "test.arg"() : () -> i32
-            %same = "toy.add"(%a, %a) : (i32, i32) -> i32
-            %diff = "toy.add"(%a, %b) : (i32, i32) -> i32
-            "test.keep"(%same, %diff) : (i32, i32) -> ()
+            %a = "t.arg"() : () -> i32
+            %b = "t.arg"() : () -> i32
+            %same = "t.add"(%a, %a) : (i32, i32) -> i32
+            %diff = "t.add"(%a, %b) : (i32, i32) -> i32
+            "t.keep"(%same, %diff) : (i32, i32) -> ()
             "#,
-        )
-        .unwrap();
-        let stats = rewrite_greedily(&mut ctx, module, &patterns);
-        assert_eq!(stats.rewrites, 1, "only add(%a, %a) matches");
-        let text = op_to_string(&ctx, module);
-        assert!(text.contains("toy.double"), "{text}");
-        assert!(text.contains("toy.add"), "{text}");
+        );
+        assert_eq!(rewrites, 1, "only add(%a, %a) matches");
+        assert_eq!(
+            text,
+            r#""builtin.module"() ({
+  %0 = "t.arg"() : () -> i32
+  %1 = "t.arg"() : () -> i32
+  %2 = "t.double"(%0) : (i32) -> i32
+  %3 = "t.add"(%0, %1) : (i32, i32) -> i32
+  "t.keep"(%2, %3) : (i32, i32) -> ()
+}) : () -> ()"#
+        );
     }
 
     /// `benefit N` steers which of two competing patterns wins.
@@ -863,14 +1001,7 @@ Pattern conorm {
             "Pattern same { Match { %r = toy.add(%x, %x) } Rewrite { %d = toy.double(%x) : typeof(%x) Replace %r with %d } }
              Pattern dd { Match { %a = toy.double(%x) %r = toy.double(%a) } Rewrite { Replace %r with %x } }",
         );
-        // Parse through the module-private parser to keep the concrete
-        // `DeclarativePattern` values (try_match is not on the trait).
-        let tokens = lex(&source).unwrap();
-        let mut parser = DslParser { ctx: &mut ctx, tokens, pos: 0 };
-        let mut declarative: Vec<DeclarativePattern> = Vec::new();
-        while parser.peek() != &Token::Eof {
-            declarative.push(parser.parse_pattern().unwrap());
-        }
+        let declarative = parse_declarative(&mut ctx, &source);
         // All benefit 1: the stable sort keeps declaration order, so set
         // positions line up with `declarative` indices.
         let patterns: PatternSet = declarative
@@ -904,7 +1035,7 @@ Pattern conorm {
         for op in collect_ops(&ctx, module) {
             let accepted = matcher.matches(&ctx, op);
             for (position, pattern) in declarative.iter().enumerate() {
-                let direct = pattern.try_match(&ctx, op).is_some();
+                let direct = pattern.try_match(&ctx, op, &mut Bindings::new(pattern));
                 let via_program = accepted.contains(&(position as u32));
                 // Lowering is complete, not just conservative: the program
                 // accepts exactly where try_match succeeds.
@@ -946,5 +1077,160 @@ Pattern conorm {
         // the kept one and the new norm(mul).
         assert_eq!(text.matches("cmath.norm").count(), 2, "{text}");
         verify_op(&ctx, module).unwrap();
+    }
+
+    /// A rewrite op may rebind a match variable; later references (here
+    /// the second rewrite op) read the new value.
+    #[test]
+    fn rewrite_op_rebinds_a_match_variable() {
+        let (rewrites, text) = drive_both_modes(
+            "Pattern p { Match { %r = t.neg(%x) } Rewrite { %x = t.abs(%x) : typeof(%x) %y = t.sq(%x) : typeof(%r) Replace %r with %y } }",
+            r#"
+            %a = "t.arg"() : () -> i32
+            %n = "t.neg"(%a) : (i32) -> i32
+            "t.keep"(%n) : (i32) -> ()
+            "#,
+        );
+        assert_eq!(rewrites, 1);
+        assert_eq!(
+            text,
+            r#""builtin.module"() ({
+  %0 = "t.arg"() : () -> i32
+  %1 = "t.abs"(%0) : (i32) -> i32
+  %2 = "t.sq"(%1) : (i32) -> i32
+  "t.keep"(%2) : (i32) -> ()
+}) : () -> ()"#
+        );
+    }
+
+    #[test]
+    fn attribute_clauses_on_both_sides() {
+        let (rewrites, text) = drive_both_modes(
+            r#"Pattern p {
+                 Match { %c = t.cst() {value = 2} %r = t.mul(%x, %c) {exact = true} }
+                 Rewrite { %s = t.shl(%x) {amount = 1, tag = "fast"} : typeof(%r) Replace %r with %s }
+               }"#,
+            r#"
+            %a = "t.arg"() : () -> i32
+            %two = "t.cst"() {value = 2 : i64} : () -> i32
+            %three = "t.cst"() {value = 3 : i64} : () -> i32
+            %hit = "t.mul"(%a, %two) {exact = true} : (i32, i32) -> i32
+            %inexact = "t.mul"(%a, %two) : (i32, i32) -> i32
+            %other = "t.mul"(%a, %three) {exact = true} : (i32, i32) -> i32
+            "t.keep"(%hit, %inexact, %other) : (i32, i32, i32) -> ()
+            "#,
+        );
+        assert_eq!(rewrites, 1);
+        assert_eq!(
+            text,
+            r#""builtin.module"() ({
+  %0 = "t.arg"() : () -> i32
+  %1 = "t.cst"() {value = 2 : i64} : () -> i32
+  %2 = "t.cst"() {value = 3 : i64} : () -> i32
+  %3 = "t.shl"(%0) {amount = 1 : i64, tag = "fast"} : (i32) -> i32
+  %4 = "t.mul"(%0, %1) : (i32, i32) -> i32
+  %5 = "t.mul"(%0, %2) {exact = true} : (i32, i32) -> i32
+  "t.keep"(%3, %4, %5) : (i32, i32, i32) -> ()
+}) : () -> ()"#
+        );
+    }
+
+    /// One producer feeding two operands is matched once; the second
+    /// operand must then be that same op's result.
+    #[test]
+    fn producer_shared_by_two_operands() {
+        let (rewrites, text) = drive_both_modes(
+            "Pattern p { Match { %s = t.sq(%x) %r = t.add(%s, %s) } Rewrite { %m = t.twice(%s) : typeof(%r) Replace %r with %m } }",
+            r#"
+            %a = "t.arg"() : () -> i32
+            %s1 = "t.sq"(%a) : (i32) -> i32
+            %s2 = "t.sq"(%a) : (i32) -> i32
+            %shared = "t.add"(%s1, %s1) : (i32, i32) -> i32
+            %split = "t.add"(%s1, %s2) : (i32, i32) -> i32
+            "t.keep"(%shared, %split) : (i32, i32) -> ()
+            "#,
+        );
+        assert_eq!(rewrites, 1);
+        assert_eq!(
+            text,
+            r#""builtin.module"() ({
+  %0 = "t.arg"() : () -> i32
+  %1 = "t.sq"(%0) : (i32) -> i32
+  %2 = "t.sq"(%0) : (i32) -> i32
+  %3 = "t.twice"(%1) : (i32) -> i32
+  %4 = "t.add"(%1, %2) : (i32, i32) -> i32
+  "t.keep"(%3, %4) : (i32, i32) -> ()
+}) : () -> ()"#
+        );
+    }
+
+    /// Ten match ops and eleven variables exceed the inline slot arrays,
+    /// so bindings spill to the heap; matching must be unaffected.
+    #[test]
+    fn patterns_beyond_inline_capacity_spill() {
+        let chain: String =
+            (1..10).map(|i| format!("%v{i} = t.inc(%v{}) ", i - 1)).collect();
+        let patterns = format!(
+            "Pattern p {{ Match {{ {chain}%r = t.inc(%v9) }} Rewrite {{ %s = t.add10(%v0) : typeof(%r) Replace %r with %s }} }}"
+        );
+        let mut ctx = Context::new();
+        let [pattern] = &parse_declarative(&mut ctx, &patterns)[..] else { panic!() };
+        assert!(pattern.slots > INLINE_SLOTS && pattern.match_ops.len() > INLINE_SLOTS);
+
+        // `%{name}0 = inc(%{name})`, then each link increments the last.
+        let incs = |n: usize, name: &str| -> String {
+            (0..n)
+                .map(|i| {
+                    let input = if i == 0 { name.to_string() } else { format!("{name}{}", i - 1) };
+                    format!("%{name}{i} = \"t.inc\"(%{input}) : (i32) -> i32\n")
+                })
+                .collect()
+        };
+        let module = format!(
+            "%a = \"t.arg\"() : () -> i32\n%b = \"t.arg\"() : () -> i32\n{}{}\"t.keep\"(%a9, %b8) : (i32, i32) -> ()\n",
+            incs(10, "a"),
+            incs(9, "b"),
+        );
+        let (rewrites, text) = drive_both_modes(&patterns, &module);
+        assert_eq!(rewrites, 1, "only the ten-long chain matches");
+        assert_eq!(
+            text,
+            r#""builtin.module"() ({
+  %0 = "t.arg"() : () -> i32
+  %1 = "t.arg"() : () -> i32
+  %2 = "t.add10"(%0) : (i32) -> i32
+  %3 = "t.inc"(%1) : (i32) -> i32
+  %4 = "t.inc"(%3) : (i32) -> i32
+  %5 = "t.inc"(%4) : (i32) -> i32
+  %6 = "t.inc"(%5) : (i32) -> i32
+  %7 = "t.inc"(%6) : (i32) -> i32
+  %8 = "t.inc"(%7) : (i32) -> i32
+  %9 = "t.inc"(%8) : (i32) -> i32
+  %10 = "t.inc"(%9) : (i32) -> i32
+  %11 = "t.inc"(%10) : (i32) -> i32
+  "t.keep"(%2, %11) : (i32, i32) -> ()
+}) : () -> ()"#
+        );
+    }
+
+    /// A match op the root does not reach would never be bound; the slot
+    /// compiler rejects it, pointing at the op.
+    #[test]
+    fn match_op_unreachable_from_root_is_a_parse_error() {
+        let source = "Pattern p { Match { %x = t.a(%p)  %r = t.b(%p) } Rewrite { %y = t.c(%p) : typeof(%r)  Replace %r with %y } }";
+        let mut ctx = Context::new();
+        let err = parse_patterns(&mut ctx, source).unwrap_err();
+        assert!(err.to_string().contains("`t.a` does not feed the root `t.b`"), "{err}");
+        assert_eq!(err.offset(), source.find("%x = t.a"));
+    }
+
+    /// A variable defined by two match ops has no single producer.
+    #[test]
+    fn variable_defined_by_two_match_ops_is_a_parse_error() {
+        let source = "Pattern p { Match { %x = t.a(%p)  %x = t.b(%p)  %r = t.c(%x) } Rewrite { Replace %r with %p } }";
+        let mut ctx = Context::new();
+        let err = parse_patterns(&mut ctx, source).unwrap_err();
+        assert!(err.to_string().contains("`%x` is already the result of match op `t.a`"), "{err}");
+        assert_eq!(err.offset(), source.find("%x = t.b"));
     }
 }

@@ -34,10 +34,10 @@
 //!
 //! [`RewritePattern::match_and_rewrite`]: crate::pattern::RewritePattern::match_and_rewrite
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use irdl_ir::fasthash::FastMap;
 use irdl_ir::{Attribute, Context, OpName, OpRef, Symbol, Value};
 
 use crate::pattern::RewritePattern;
@@ -155,7 +155,7 @@ pub fn matcher_compile_count() -> u64 {
 struct DefSwitch {
     path: OpPath,
     index: u8,
-    cases: HashMap<OpName, usize>,
+    cases: FastMap<OpName, usize>,
 }
 
 /// One interior trie state. `accepts` lists the patterns whose whole
@@ -180,7 +180,7 @@ struct Test {
 /// seal time, share across every worker.
 pub struct PatternMatcher {
     /// Entry branch per anchored root symbol.
-    roots: HashMap<OpName, usize>,
+    roots: FastMap<OpName, usize>,
     /// Entry branch shared by anchorless programs (always branch 0).
     anchorless: usize,
     branches: Vec<Branch>,
@@ -207,7 +207,7 @@ impl PatternMatcher {
     pub fn compile(patterns: &[Arc<dyn RewritePattern>]) -> PatternMatcher {
         MATCHER_COMPILES.fetch_add(1, Ordering::Relaxed);
         let mut matcher = PatternMatcher {
-            roots: HashMap::new(),
+            roots: FastMap::default(),
             anchorless: 0,
             branches: vec![Branch::default()],
             tests: Vec::new(),
@@ -253,7 +253,7 @@ impl PatternMatcher {
                             self.branches[branch].switches.push(DefSwitch {
                                 path: path.clone(),
                                 index: *index,
-                                cases: HashMap::new(),
+                                cases: FastMap::default(),
                             });
                             self.branches[branch].switches.len() - 1
                         });

@@ -1,8 +1,8 @@
 //! The [`RewritePattern`] trait and the [`Rewriter`] handed to patterns.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use irdl_ir::fasthash::FastMap;
 use irdl_ir::{BlockRef, ChangeJournal, Context, OpName, OperationState, OpRef, Type, Value};
 
 use crate::matcher::{MatchProgram, PatternMatcher};
@@ -62,7 +62,7 @@ pub trait RewritePattern: Send + Sync {
 pub struct PatternSet {
     patterns: Vec<Arc<dyn RewritePattern>>,
     /// Positions of patterns anchored on a specific op name (ascending).
-    anchored: HashMap<OpName, Vec<usize>>,
+    anchored: FastMap<OpName, Vec<usize>>,
     /// Positions of patterns that try every operation (ascending).
     anchorless: Vec<usize>,
     /// Lazily-compiled shared matcher automaton; reset by [`PatternSet::add`],
