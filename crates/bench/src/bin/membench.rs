@@ -25,6 +25,12 @@
 //!   rewrite path end to end. Slot-compiled matching, inline operand
 //!   materialization and the thread-local verifier scratch leave nothing
 //!   to allocate, so this gate is also **exactly zero** per step.
+//! - **text_parse_transient**: peak live heap while `parse_module` reads
+//!   the printed text of a 10^5-op Wide and a 10^5-op Deep `genscale`
+//!   module, minus the live bytes the finished IR holds — the parser's
+//!   own working memory. The pull lexer keeps no token vector, so the
+//!   gate is **at most 2 bytes per source byte** (a materialized token
+//!   stream alone costs ~12).
 //!
 //! The throughput baselines are the PR 8 numbers recorded in
 //! BENCH_bytecode.json on this machine; the alloc gates are
@@ -37,11 +43,11 @@
 //!
 //! `--quick` trims measurement budgets for CI smoke runs and skips the
 //! machine-relative throughput floors (load-sensitive); the deterministic
-//! allocation gates are always enforced.
+//! allocation and transient-heap gates are always enforced.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use irdl::genir::{instantiate_op, Instantiation};
@@ -49,6 +55,7 @@ use irdl_ir::bytecode::{decode_module, encode_module};
 use irdl_ir::parse::parse_module;
 use irdl_ir::print::op_to_string;
 use irdl_dialects::showcase::{build_conorm_module, CONORM_PATTERN};
+use irdl_fuzz_lib::genscale::{generate_scale_module, scale_bundle, ScaleConfig, ScaleShape};
 use irdl_ir::{ChangeJournal, Context, IncrementalVerifier, OpRef, OperationState};
 use irdl_rewrite::{parse_patterns, Rewriter};
 
@@ -65,6 +72,11 @@ const MAX_DECODE_ALLOCS_PER_OP: f64 = 2.0;
 const MAX_REWRITE_ALLOCS: u64 = 0;
 /// Nor may a warmed, incrementally re-verified declarative application.
 const MAX_DECLARATIVE_ALLOCS: u64 = 0;
+/// Parsing a giant module may hold at most this many transient heap bytes
+/// per source byte at its peak.
+const MAX_TRANSIENT_BYTES_PER_SOURCE_BYTE: f64 = 2.0;
+/// Op count of each giant module the transient gate parses.
+const TRANSIENT_OPS: usize = 100_000;
 /// Parse and decode must beat the PR 8 baseline by at least this factor.
 const REQUIRED_THROUGHPUT_SPEEDUP: f64 = 1.3;
 
@@ -79,23 +91,37 @@ const PR8_DECODE_OPS_PER_SEC: f64 = 2_007_525.5;
 // ---------------------------------------------------------------------------
 
 /// Counts every allocation request (including reallocs) so a measured pass
-/// can report how many times it hit the heap.
+/// can report how many times it hit the heap, and tracks live heap bytes
+/// with their high-water mark.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grow_live(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // Count the new block before releasing the old one: a moving
+        // realloc holds both at once.
+        grow_live(new_size);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -105,6 +131,19 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> usize {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark from the current live byte count.
+fn reset_peak() {
+    PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
+
+fn peak_bytes() -> usize {
+    PEAK_BYTES.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -362,6 +401,48 @@ fn run_steady_declarative(steps: usize) -> RewriteReport {
     RewriteReport { steps, total_allocs, steps_per_sec: steps as f64 / secs }
 }
 
+struct TransientReport {
+    shape: ScaleShape,
+    ops: usize,
+    source_bytes: usize,
+    transient_bytes: usize,
+}
+
+impl TransientReport {
+    fn bytes_per_source_byte(&self) -> f64 {
+        self.transient_bytes as f64 / self.source_bytes as f64
+    }
+}
+
+/// Peak transient heap of one `parse_module` per giant-module shape.
+///
+/// Each module is parsed once into its context and erased first, so the
+/// measured parse reuses warm arenas, pools and interned names the way a
+/// long-lived context does; the IR it builds then costs no new heap, and
+/// what is left between the peak and the final live count is the
+/// parser's working memory.
+fn run_text_parse_transient() -> Vec<TransientReport> {
+    let bundle = scale_bundle().expect("scale dialect compiles");
+    [ScaleShape::Wide, ScaleShape::Deep]
+        .into_iter()
+        .map(|shape| {
+            let mut ctx = bundle.instantiate();
+            let (module, ops) =
+                generate_scale_module(&mut ctx, &ScaleConfig::valid(TRANSIENT_OPS, shape));
+            let text = op_to_string(&ctx, module);
+            ctx.erase_op(module);
+            let warm = parse_module(&mut ctx, &text).expect("scale module text parses");
+            ctx.erase_op(warm);
+
+            reset_peak();
+            let module = parse_module(&mut ctx, &text).expect("scale module text parses");
+            let transient_bytes = peak_bytes() - live_bytes();
+            black_box(module);
+            TransientReport { shape, ops, source_bytes: text.len(), transient_bytes }
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------
@@ -370,7 +451,26 @@ fn json_f(value: f64) -> String {
     if value.is_finite() { format!("{value:.1}") } else { "null".to_string() }
 }
 
-fn report_json(load: &LoadReport, rewrite: &RewriteReport, declarative: &RewriteReport) -> String {
+fn report_json(
+    load: &LoadReport,
+    rewrite: &RewriteReport,
+    declarative: &RewriteReport,
+    transient: &[TransientReport],
+) -> String {
+    let transient_json: Vec<String> = transient
+        .iter()
+        .map(|t| {
+            format!(
+                "    \"{:?}\": {{ \"ops\": {}, \"source_bytes\": {}, \"transient_bytes\": {}, \
+                 \"bytes_per_source_byte\": {:.2} }}",
+                t.shape,
+                t.ops,
+                t.source_bytes,
+                t.transient_bytes,
+                t.bytes_per_source_byte()
+            )
+        })
+        .collect();
     format!(
         concat!(
             "{{\n",
@@ -380,6 +480,7 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport, declarative: &Rewrite
             "  \"max_decode_allocs_per_op\": {},\n",
             "  \"max_rewrite_allocs_per_step\": {},\n",
             "  \"max_declarative_allocs_per_step\": {},\n",
+            "  \"max_transient_bytes_per_source_byte\": {},\n",
             "  \"required_throughput_speedup\": {},\n",
             "  \"baseline\": {{\n",
             "    \"note\": \"PR 8 (pre-compact-storage) corpus numbers, this machine\",\n",
@@ -411,6 +512,9 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport, declarative: &Rewrite
             "    \"steps\": {},\n",
             "    \"total_allocs\": {},\n",
             "    \"steps_per_sec\": {}\n",
+            "  }},\n",
+            "  \"text_parse_transient\": {{\n",
+            "{}\n",
             "  }}\n",
             "}}\n",
         ),
@@ -418,6 +522,7 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport, declarative: &Rewrite
         MAX_DECODE_ALLOCS_PER_OP,
         MAX_REWRITE_ALLOCS,
         MAX_DECLARATIVE_ALLOCS,
+        MAX_TRANSIENT_BYTES_PER_SOURCE_BYTE,
         REQUIRED_THROUGHPUT_SPEEDUP,
         json_f(PR8_PARSE_OPS_PER_SEC),
         json_f(PR8_DECODE_OPS_PER_SEC),
@@ -437,6 +542,7 @@ fn report_json(load: &LoadReport, rewrite: &RewriteReport, declarative: &Rewrite
         declarative.steps,
         declarative.total_allocs,
         json_f(declarative.steps_per_sec),
+        transient_json.join(",\n"),
     )
 }
 
@@ -476,7 +582,19 @@ fn main() {
         declarative.steps, declarative.total_allocs, declarative.steps_per_sec,
     );
 
-    let json = report_json(&load, &rewrite, &declarative);
+    let transient = run_text_parse_transient();
+    for t in &transient {
+        eprintln!(
+            "text_parse_transient {:?}: {} ops, {} source bytes, {} transient bytes ({:.2} B/byte)",
+            t.shape,
+            t.ops,
+            t.source_bytes,
+            t.transient_bytes,
+            t.bytes_per_source_byte(),
+        );
+    }
+
+    let json = report_json(&load, &rewrite, &declarative, &transient);
     print!("{json}");
     if quick {
         eprintln!("quick mode: not rewriting BENCH_mem.json");
@@ -515,6 +633,17 @@ fn main() {
             declarative.total_allocs, declarative.steps, MAX_DECLARATIVE_ALLOCS
         );
         failed = true;
+    }
+    for t in &transient {
+        if t.bytes_per_source_byte() > MAX_TRANSIENT_BYTES_PER_SOURCE_BYTE {
+            eprintln!(
+                "FAIL: parsing the {:?} module held {:.2} transient heap bytes per source byte \
+                 (gate: {MAX_TRANSIENT_BYTES_PER_SOURCE_BYTE})",
+                t.shape,
+                t.bytes_per_source_byte()
+            );
+            failed = true;
+        }
     }
     // Throughput floors compare against fixed numbers recorded on an idle
     // machine, so they are only meaningful in full runs.

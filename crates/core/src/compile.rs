@@ -101,6 +101,19 @@ pub fn dialect_compile_count() -> u64 {
     DIALECT_COMPILES.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`DIALECT_COMPILES`]: unit tests run
+    /// concurrently, so only a per-thread count is exact inside one test.
+    static THREAD_COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of dialect compilations performed by the calling thread.
+#[cfg(test)]
+pub(crate) fn thread_compile_count() -> u64 {
+    THREAD_COMPILES.with(std::cell::Cell::get)
+}
+
 /// Like [`compile_dialect`], additionally returning the compiled form of
 /// every operation — the structured artifact consumed by IR generation
 /// ([`crate::genir`]) and other tooling.
@@ -129,6 +142,8 @@ pub fn compile_dialect_to_recipe(
     natives: &NativeRegistry,
 ) -> Result<(DialectRecipe, Vec<Arc<CompiledOp>>)> {
     DIALECT_COMPILES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_COMPILES.with(|count| count.set(count.get() + 1));
     let scope = DialectScope::from_ast(dialect)?;
     let dialect_sym = ctx.symbol(&dialect.name);
     ensure_dialect(ctx, dialect_sym, dialect.summary.as_deref());

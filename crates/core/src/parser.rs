@@ -2,11 +2,12 @@
 //!
 //! The concrete syntax follows the paper's listings: a `Dialect` block
 //! containing `Type`, `Attribute`, `Alias`, `Enum`, `Constraint`,
-//! `TypeOrAttrParam`, and `Operation` definitions. The token stream is the
-//! same one used by the IR textual format ([`irdl_ir::lexer`]).
+//! `TypeOrAttrParam`, and `Operation` definitions. Tokens are pulled from
+//! the same [`TokenStream`] the IR textual format uses ([`irdl_ir::lexer`]),
+//! so a lex error anywhere in the source wins over a parse error.
 
 use irdl_ir::diag::{Diagnostic, Result};
-use irdl_ir::lexer::{lex, Spanned, Token};
+use irdl_ir::lexer::{Token, TokenStream};
 
 use crate::ast::*;
 
@@ -26,13 +27,9 @@ use crate::ast::*;
 /// # Ok::<(), irdl_ir::Diagnostic>(())
 /// ```
 pub fn parse_irdl(source: &str) -> Result<SourceFile> {
-    let tokens = lex(source)?;
-    let mut parser = IrdlParser { tokens, pos: 0 };
-    let mut dialects = Vec::new();
-    while parser.peek() != &Token::Eof {
-        dialects.push(parser.parse_dialect()?);
-    }
-    Ok(SourceFile { dialects })
+    let mut parser = IrdlParser { tokens: TokenStream::new(source) };
+    let parsed = parser.parse_source_file();
+    parser.tokens.finish(parsed)
 }
 
 /// Parses a single constraint expression from `source` (e.g.
@@ -42,40 +39,37 @@ pub fn parse_irdl(source: &str) -> Result<SourceFile> {
 ///
 /// Returns a diagnostic on malformed input or trailing tokens.
 pub fn parse_constraint_expr_str(source: &str) -> Result<crate::ast::ConstraintExpr> {
-    let tokens = lex(source)?;
-    let mut parser = IrdlParser { tokens, pos: 0 };
-    let expr = parser.parse_constraint_expr()?;
-    match parser.peek() {
+    let mut parser = IrdlParser { tokens: TokenStream::new(source) };
+    let parsed = parser.parse_constraint_expr().and_then(|expr| match parser.peek() {
         Token::Eof => Ok(expr),
-        other => Err(Diagnostic::at(
-            parser.offset(),
-            format!("unexpected trailing {}", other.describe()),
-        )),
-    }
+        other => Err(parser.error(format!("unexpected trailing {}", other.describe()))),
+    });
+    parser.tokens.finish(parsed)
 }
 
 struct IrdlParser<'s> {
-    tokens: Vec<Spanned<'s>>,
-    pos: usize,
+    tokens: TokenStream<'s>,
 }
 
 impl<'s> IrdlParser<'s> {
     fn peek(&self) -> &Token<'s> {
-        &self.tokens[self.pos].token
+        self.tokens.peek()
     }
 
     fn offset(&self) -> usize {
-        self.tokens[self.pos].span.start
+        self.tokens.offset()
     }
 
-    /// Takes the current token and advances (consumed slots are backfilled
-    /// with `Eof` and never re-read).
     fn bump(&mut self) -> Token<'s> {
-        let tok = std::mem::replace(&mut self.tokens[self.pos].token, Token::Eof);
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        self.tokens.bump()
+    }
+
+    fn parse_source_file(&mut self) -> Result<SourceFile> {
+        let mut dialects = Vec::new();
+        while self.peek() != &Token::Eof {
+            dialects.push(self.parse_dialect()?);
         }
-        tok
+        Ok(SourceFile { dialects })
     }
 
     fn error(&self, message: impl Into<String>) -> Diagnostic {
@@ -958,6 +952,20 @@ Dialect c {
         let src = "Dialect c { Operation o { Typo \"x\" } }";
         let err = parse_irdl(src).unwrap_err();
         assert!(err.message().contains("unknown directive"), "{err}");
+    }
+
+    #[test]
+    fn parse_error_then_lex_error_reports_the_lex_error() {
+        // `Typo` is a parse error; the stray backtick after it is a lex
+        // error, which wins exactly as if the whole file were lexed first.
+        let src = "Dialect c { Operation o { Typo \"x\" } }\nDialect d { ` }";
+        let lexed = irdl_ir::lexer::lex(src).unwrap_err();
+        assert_eq!(parse_irdl(src).unwrap_err(), lexed);
+        let expr = "!AnyOf<!f32 !f64> \"open";
+        assert_eq!(
+            parse_constraint_expr_str(expr).unwrap_err(),
+            irdl_ir::lexer::lex(expr).unwrap_err()
+        );
     }
 
     #[test]

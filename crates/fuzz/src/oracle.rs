@@ -7,7 +7,9 @@
 //!
 //! 1. **fixpoint** — parse → print must reach a fixpoint: printing the
 //!    reparse of printed text reproduces it byte for byte (pretty and
-//!    generic forms both).
+//!    generic forms both). A rejection must leave the context's op count
+//!    unchanged and, when the text does not lex, report exactly
+//!    [`irdl_ir::lexer::lex`]'s diagnostic.
 //! 2. **incremental** — after every journaled mutation, the verdict of
 //!    [`IncrementalVerifier::verify_changes`] must equal a from-scratch
 //!    [`ModuleVerifier`] walk.
@@ -138,12 +140,18 @@ fn parse_in(ctx: &mut Context, text: &str) -> Option<OpRef> {
 
 /// Oracle 1: parse → print → parse fixpoint (pretty and generic forms).
 ///
-/// Inputs the parser rejects pass vacuously — rejection is a legitimate
-/// outcome for text mutants; what must never happen is accepting text
-/// whose print does not reach a fixpoint.
+/// Rejection is a legitimate outcome for text mutants, but it must be
+/// clean: the failed parse leaves no ops behind in the context, and text
+/// that does not lex is rejected with the lexer's own diagnostic. What
+/// must never happen is accepting text whose print does not reach a
+/// fixpoint.
 pub fn check_fixpoint(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
     let mut ctx = bundle.instantiate();
-    let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
+    let ops_before = ctx.num_ops();
+    let module = match parse_module(&mut ctx, text) {
+        Ok(module) => module,
+        Err(rejection) => return check_rejection(&ctx, ops_before, text, &rejection),
+    };
     let printed = op_to_string(&ctx, module);
     let generic = op_to_string_generic(&ctx, module);
 
@@ -178,6 +186,35 @@ pub fn check_fixpoint(bundle: &DialectBundle, text: &str) -> Result<(), OracleFa
             format!("generic print is not a fixpoint:\nfirst:\n{generic}\nsecond:\n{generic2}"),
             text,
         ));
+    }
+    Ok(())
+}
+
+/// The rejection half of oracle 1.
+fn check_rejection(
+    ctx: &Context,
+    ops_before: usize,
+    text: &str,
+    rejection: &irdl_ir::Diagnostic,
+) -> Result<(), OracleFailure> {
+    if ctx.num_ops() != ops_before {
+        return Err(OracleFailure::new(
+            "fixpoint",
+            format!(
+                "rejected parse changed the op count from {ops_before} to {}: {rejection}",
+                ctx.num_ops()
+            ),
+            text,
+        ));
+    }
+    if let Err(lexed) = irdl_ir::lexer::lex(text) {
+        if *rejection != lexed {
+            return Err(OracleFailure::new(
+                "fixpoint",
+                format!("rejection `{rejection}` is not the lex error `{lexed}`"),
+                text,
+            ));
+        }
     }
     Ok(())
 }
@@ -418,8 +455,8 @@ pub fn check_matcher(
 
 /// Oracle 7: bytecode round-trip is print-byte-identical.
 ///
-/// Inputs the parser rejects pass vacuously, like the fixpoint oracle.
-/// Accepted inputs must encode, the bytes must decode into a *fresh*
+/// Inputs the parser rejects pass vacuously (the fixpoint oracle checks
+/// rejections). Accepted inputs must encode, the bytes must decode into a *fresh*
 /// bundle instance (the load path a distributed pipeline would take), and
 /// the decoded module must print exactly the original's printed form —
 /// both pretty and generic.

@@ -1,15 +1,23 @@
 //! Lexer for the generic IR textual format.
 //!
-//! The same token stream serves the generic parser and dialect-defined
-//! custom syntax hooks. Comments run from `//` to end of line.
+//! The same tokens serve the IR text parser, dialect-defined custom syntax
+//! hooks, the IRDL parser and the pattern DSL. Comments run from `//` to
+//! end of line.
+//!
+//! Lexing is **pull-based**: [`Lexer::next_token`] hands out one token per
+//! call, and parsers read through a [`TokenStream`] with two tokens of
+//! lookahead, so no parser ever materializes a token vector. A lex error
+//! ends the stream with [`Token::Eof`]; [`TokenStream::finish`] then puts
+//! that error ahead of the parse result, so a parser reports exactly the
+//! diagnostic [`lex`] would have. [`lex`] itself is a thin collector over
+//! the same [`Lexer`].
 //!
 //! Tokens are **zero-copy**: every payload is a `&str` slice of the source
 //! buffer (string literals use a [`Cow`] that only owns its data when the
 //! literal contains escapes), so lexing performs no per-token heap
-//! allocation beyond the token vector itself. Code that must retain tokens
-//! beyond the source's lifetime (pre-lexed format-spec literals) stores a
-//! [`TokenBuf`], which owns the text and re-materializes borrowed tokens on
-//! demand.
+//! allocation. Code that must retain tokens beyond the source's lifetime
+//! (pre-lexed format-spec literals) stores a [`TokenBuf`], which owns the
+//! text and re-materializes borrowed tokens on demand.
 
 use std::borrow::Cow;
 
@@ -143,223 +151,239 @@ impl Spanned<'_> {
     }
 }
 
-/// Tokenizes `source` into a vector ending with [`Token::Eof`].
+/// A pull lexer over one source buffer: each [`Lexer::next_token`] call
+/// scans one token.
+///
+/// The end of input, and every call after a lex error, yields
+/// [`Token::Eof`] spanning `source.len()..source.len()`. The error itself
+/// is kept in the lexer (see [`Lexer::error`]) instead of being threaded
+/// through every token, so the per-token path carries no `Result`.
+#[derive(Debug)]
+pub struct Lexer<'s> {
+    source: &'s str,
+    pos: usize,
+    error: Option<Diagnostic>,
+}
+
+impl<'s> Lexer<'s> {
+    /// A lexer positioned at the start of `source`.
+    pub fn new(source: &'s str) -> Self {
+        Lexer { source, pos: 0, error: None }
+    }
+
+    /// The lex error that ended the stream, if any.
+    pub fn error(&self) -> Option<&Diagnostic> {
+        self.error.as_ref()
+    }
+
+    /// Scans the next token.
+    pub fn next_token(&mut self) -> Spanned<'s> {
+        let source = self.source;
+        let bytes = source.as_bytes();
+        let mut pos = self.pos;
+        while pos < bytes.len() {
+            let start = pos;
+            let ch = bytes[pos] as char;
+            let token = match ch {
+                ' ' | '\t' | '\r' | '\n' => {
+                    // Indentation comes in runs; skip a run in one tight loop.
+                    pos += 1;
+                    while pos < bytes.len() && matches!(bytes[pos], b' ' | b'\t' | b'\r' | b'\n') {
+                        pos += 1;
+                    }
+                    continue;
+                }
+                '/' if bytes.get(pos + 1) == Some(&b'/') => {
+                    while pos < bytes.len() && bytes[pos] != b'\n' {
+                        pos += 1;
+                    }
+                    continue;
+                }
+                '(' => Token::LParen,
+                ')' => Token::RParen,
+                '{' => Token::LBrace,
+                '}' => Token::RBrace,
+                '[' => Token::LBracket,
+                ']' => Token::RBracket,
+                '<' => Token::Lt,
+                '>' => Token::Gt,
+                ',' => Token::Comma,
+                ':' => Token::Colon,
+                '=' => Token::Equals,
+                '?' => Token::Question,
+                '*' => Token::Star,
+                '+' => Token::Plus,
+                '.' => Token::Dot,
+                '-' => {
+                    if bytes.get(pos + 1) == Some(&b'>') {
+                        pos += 1;
+                        Token::Arrow
+                    } else if bytes.get(pos + 1).is_some_and(|b| b.is_ascii_digit()) {
+                        pos += 1;
+                        match lex_number(source, &mut pos, true) {
+                            Ok(token) => return self.emit(token, start, pos),
+                            Err(diag) => return self.fail(diag),
+                        }
+                    } else {
+                        return self.fail(Diagnostic::at(start, "unexpected `-`"));
+                    }
+                }
+                '"' => match lex_string(source, &mut pos) {
+                    Ok(token) => return self.emit(token, start, pos),
+                    Err(diag) => return self.fail(diag),
+                },
+                '%' | '^' | '@' | '!' | '#' => {
+                    pos += 1;
+                    let ident = lex_ident_text(source, &mut pos);
+                    if ident.is_empty() {
+                        return self.fail(Diagnostic::at(
+                            start,
+                            format!("expected identifier after `{ch}`"),
+                        ));
+                    }
+                    let token = match ch {
+                        '%' => Token::ValueId(ident),
+                        '^' => Token::BlockId(ident),
+                        '@' => Token::SymbolRef(ident),
+                        '!' => Token::TypeRef(ident),
+                        _ => Token::AttrRef(ident),
+                    };
+                    return self.emit(token, start, pos);
+                }
+                c if c.is_ascii_digit() => match lex_number(source, &mut pos, false) {
+                    Ok(token) => return self.emit(token, start, pos),
+                    Err(diag) => return self.fail(diag),
+                },
+                c if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
+                    let ident = lex_ident_text(source, &mut pos);
+                    return self.emit(Token::Ident(ident), start, pos);
+                }
+                other => {
+                    return self
+                        .fail(Diagnostic::at(start, format!("unexpected character `{other}`")))
+                }
+            };
+            // Single-byte punctuation (and the last byte of `->`).
+            return self.emit(token, start, pos + 1);
+        }
+        self.pos = pos;
+        self.eof()
+    }
+
+    #[inline]
+    fn emit(&mut self, token: Token<'s>, start: usize, end: usize) -> Spanned<'s> {
+        self.pos = end;
+        Spanned { token, span: Span { start, end } }
+    }
+
+    fn eof(&self) -> Spanned<'s> {
+        let end = self.source.len();
+        Spanned { token: Token::Eof, span: Span { start: end, end } }
+    }
+
+    /// Records `diag` and ends the stream.
+    #[cold]
+    #[inline(never)]
+    fn fail(&mut self, diag: Diagnostic) -> Spanned<'s> {
+        self.error = Some(diag);
+        self.pos = self.source.len();
+        self.eof()
+    }
+}
+
+/// A parser's cursor over a [`Lexer`]: the current token plus one more of
+/// lookahead, scanned only when [`TokenStream::peek2`] asks for it.
+///
+/// Parsers call [`TokenStream::finish`] on their result, which makes a lex
+/// error anywhere in the source win over the parse outcome — the rule that
+/// keeps every diagnostic identical to lexing the whole source up front.
+#[derive(Debug)]
+pub struct TokenStream<'s> {
+    lexer: Lexer<'s>,
+    current: Spanned<'s>,
+    lookahead: Option<Spanned<'s>>,
+}
+
+impl<'s> TokenStream<'s> {
+    /// A stream positioned at the first token of `source`.
+    pub fn new(source: &'s str) -> Self {
+        let mut lexer = Lexer::new(source);
+        let current = lexer.next_token();
+        TokenStream { lexer, current, lookahead: None }
+    }
+
+    /// The current token.
+    #[inline]
+    pub fn peek(&self) -> &Token<'s> {
+        &self.current.token
+    }
+
+    /// The token after the current one.
+    pub fn peek2(&mut self) -> &Token<'s> {
+        let lexer = &mut self.lexer;
+        &self.lookahead.get_or_insert_with(|| lexer.next_token()).token
+    }
+
+    /// Byte offset of the current token (the diagnostic anchor).
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.current.span.start
+    }
+
+    /// Takes the current token and advances. At the end of input this
+    /// keeps returning [`Token::Eof`].
+    #[inline]
+    pub fn bump(&mut self) -> Token<'s> {
+        let next = match self.lookahead.take() {
+            Some(next) => next,
+            None => self.lexer.next_token(),
+        };
+        std::mem::replace(&mut self.current, next).token
+    }
+
+    /// Settles a parse over this stream: the first lex error in the source,
+    /// if there is one, replaces `result`.
+    ///
+    /// A successful parse has already pulled every token, so the rest of
+    /// the source is scanned only after a parse error.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lex error, or else `result`'s own error.
+    pub fn finish<T>(&mut self, result: Result<T>) -> Result<T> {
+        if self.lexer.error.is_none() {
+            while !matches!(self.lexer.next_token().token, Token::Eof) {}
+        }
+        match self.lexer.error.take() {
+            Some(diag) => Err(diag),
+            None => result,
+        }
+    }
+}
+
+/// Tokenizes `source` into a vector ending with [`Token::Eof`]: a
+/// collector over [`Lexer`] for callers that want the whole sequence.
 ///
 /// # Errors
 ///
 /// Returns a diagnostic on malformed literals or unexpected characters.
 pub fn lex(source: &str) -> Result<Vec<Spanned<'_>>> {
-    let bytes = source.as_bytes();
+    let mut lexer = Lexer::new(source);
     // One token spans ~4+ source bytes on average; sizing up front keeps
-    // small-module lexing to a single buffer allocation.
+    // small inputs to a single buffer allocation.
     let mut tokens = Vec::with_capacity(source.len() / 4 + 4);
-    let mut pos = 0usize;
-
-    while pos < bytes.len() {
-        let start = pos;
-        let ch = bytes[pos] as char;
-        match ch {
-            ' ' | '\t' | '\r' | '\n' => {
-                pos += 1;
-            }
-            '/' if bytes.get(pos + 1) == Some(&b'/') => {
-                while pos < bytes.len() && bytes[pos] != b'\n' {
-                    pos += 1;
-                }
-            }
-            '(' => push_simple(&mut tokens, Token::LParen, &mut pos, start),
-            ')' => push_simple(&mut tokens, Token::RParen, &mut pos, start),
-            '{' => push_simple(&mut tokens, Token::LBrace, &mut pos, start),
-            '}' => push_simple(&mut tokens, Token::RBrace, &mut pos, start),
-            '[' => push_simple(&mut tokens, Token::LBracket, &mut pos, start),
-            ']' => push_simple(&mut tokens, Token::RBracket, &mut pos, start),
-            '<' => push_simple(&mut tokens, Token::Lt, &mut pos, start),
-            '>' => push_simple(&mut tokens, Token::Gt, &mut pos, start),
-            ',' => push_simple(&mut tokens, Token::Comma, &mut pos, start),
-            ':' => push_simple(&mut tokens, Token::Colon, &mut pos, start),
-            '=' => push_simple(&mut tokens, Token::Equals, &mut pos, start),
-            '?' => push_simple(&mut tokens, Token::Question, &mut pos, start),
-            '*' => push_simple(&mut tokens, Token::Star, &mut pos, start),
-            '+' => push_simple(&mut tokens, Token::Plus, &mut pos, start),
-            '.' => push_simple(&mut tokens, Token::Dot, &mut pos, start),
-            '-' => {
-                if bytes.get(pos + 1) == Some(&b'>') {
-                    pos += 2;
-                    tokens.push(Spanned {
-                        token: Token::Arrow,
-                        span: Span { start, end: pos },
-                    });
-                } else if bytes.get(pos + 1).is_some_and(|b| b.is_ascii_digit()) {
-                    pos += 1;
-                    let tok = lex_number(source, &mut pos, true)?;
-                    tokens.push(Spanned { token: tok, span: Span { start, end: pos } });
-                } else {
-                    return Err(Diagnostic::at(start, "unexpected `-`"));
-                }
-            }
-            '"' => {
-                let tok = lex_string(source, &mut pos)?;
-                tokens.push(Spanned { token: tok, span: Span { start, end: pos } });
-            }
-            '%' | '^' | '@' | '!' | '#' => {
-                pos += 1;
-                let ident = lex_ident_text(source, &mut pos);
-                if ident.is_empty() {
-                    return Err(Diagnostic::at(start, format!("expected identifier after `{ch}`")));
-                }
-                let token = match ch {
-                    '%' => Token::ValueId(ident),
-                    '^' => Token::BlockId(ident),
-                    '@' => Token::SymbolRef(ident),
-                    '!' => Token::TypeRef(ident),
-                    _ => Token::AttrRef(ident),
-                };
-                tokens.push(Spanned { token, span: Span { start, end: pos } });
-            }
-            c if c.is_ascii_digit() => {
-                let tok = lex_number(source, &mut pos, false)?;
-                tokens.push(Spanned { token: tok, span: Span { start, end: pos } });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '$' => {
-                let ident = lex_ident_text(source, &mut pos);
-                tokens.push(Spanned {
-                    token: Token::Ident(ident),
-                    span: Span { start, end: pos },
-                });
-            }
-            other => {
-                return Err(Diagnostic::at(start, format!("unexpected character `{other}`")));
-            }
+    loop {
+        let spanned = lexer.next_token();
+        let end = matches!(spanned.token, Token::Eof);
+        tokens.push(spanned);
+        if end {
+            break;
         }
     }
-    let end = source.len();
-    tokens.push(Spanned { token: Token::Eof, span: Span { start: end, end } });
-    Ok(tokens)
-}
-
-/// Sources shorter than this are lexed sequentially even when a chunked
-/// lex was requested: thread spawn would dominate the work.
-const CHUNK_MIN_SOURCE: usize = 4096;
-
-/// Tokenizes `source` like [`lex`], splitting the input at safe top-level
-/// boundaries and lexing the chunks on up to `jobs` threads.
-///
-/// A split point is a newline at brace depth 0, outside string literals
-/// and comments — the only token that can span a newline is a string
-/// literal, so cutting there can never divide a token. The scanner picks
-/// the first such newline at or past each `i * len / jobs` target. Chunk
-/// tokens are spliced back by rebasing their spans (payloads are already
-/// sub-slices of `source`, so only offsets move), per-chunk `Eof` markers
-/// are dropped, and one final `Eof` at `source.len()` is appended — the
-/// result is byte-identical to what [`lex`] returns, spans included.
-///
-/// Falls back to the sequential lexer when `jobs <= 1`, the source is
-/// small, or no safe split point exists.
-///
-/// # Errors
-///
-/// Returns a diagnostic on malformed literals or unexpected characters,
-/// with the offset rebased to the absolute source position.
-pub fn lex_chunked(source: &str, jobs: usize) -> Result<Vec<Spanned<'_>>> {
-    if jobs <= 1 || source.len() < CHUNK_MIN_SOURCE {
-        return lex(source);
+    match lexer.error {
+        Some(diag) => Err(diag),
+        None => Ok(tokens),
     }
-    let bounds = chunk_boundaries(source, jobs);
-    if bounds.len() < 3 {
-        return lex(source);
-    }
-    let results: Vec<Result<Vec<Spanned<'_>>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .map(|window| {
-                let base = window[0];
-                let chunk = &source[base..window[1]];
-                scope.spawn(move || {
-                    let mut tokens = lex(chunk).map_err(|diag| diag.rebase_offset(base))?;
-                    // A successful lex always ends with exactly one Eof; drop
-                    // it and rebase here, on the worker, so the merge below is
-                    // a plain bulk append instead of a per-token pass.
-                    debug_assert!(matches!(tokens.last().map(|s| &s.token), Some(Token::Eof)));
-                    tokens.pop();
-                    if base != 0 {
-                        for spanned in &mut tokens {
-                            spanned.span.start += base;
-                            spanned.span.end += base;
-                        }
-                    }
-                    Ok(tokens)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("lexer worker panicked")).collect()
-    });
-    let extra: usize = results.iter().skip(1).map(|r| r.as_ref().map_or(0, Vec::len)).sum();
-    let mut results = results.into_iter();
-    let mut tokens = results.next().expect("bounds yield at least two chunks")?;
-    tokens.reserve(extra + 1);
-    for chunk_tokens in results {
-        tokens.append(&mut chunk_tokens?);
-    }
-    let end = source.len();
-    tokens.push(Spanned { token: Token::Eof, span: Span { start: end, end } });
-    Ok(tokens)
-}
-
-/// Scans `source` once and returns `[0, split..., len]` where each split
-/// is the byte offset just past a newline at brace depth 0 (outside
-/// strings and comments), the first such newline at or beyond each
-/// `i * len / jobs` target.
-fn chunk_boundaries(source: &str, jobs: usize) -> Vec<usize> {
-    let bytes = source.as_bytes();
-    let step = source.len() / jobs;
-    let mut bounds = vec![0usize];
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut in_comment = false;
-    let mut target = step.max(1);
-    let mut i = 0;
-    while i < bytes.len() && bounds.len() < jobs {
-        let b = bytes[i];
-        if in_string {
-            match b {
-                // Skip the escaped byte so `\"` stays inside the string.
-                b'\\' => i += 1,
-                b'"' => in_string = false,
-                _ => {}
-            }
-        } else if in_comment {
-            if b == b'\n' {
-                in_comment = false;
-            }
-        } else {
-            match b {
-                b'"' => in_string = true,
-                b'/' if bytes.get(i + 1) == Some(&b'/') => in_comment = true,
-                b'{' => depth += 1,
-                // Saturate: the lexer itself never tracks depth, so a stray
-                // `}` must not poison boundary detection.
-                b'}' => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-        }
-        if b == b'\n' && !in_string && depth == 0 && i + 1 >= target && i + 1 < bytes.len() {
-            bounds.push(i + 1);
-            target = (bounds.len() * step).max(i + 2);
-        }
-        i += 1;
-    }
-    bounds.push(source.len());
-    bounds
-}
-
-fn push_simple<'s>(
-    tokens: &mut Vec<Spanned<'s>>,
-    token: Token<'s>,
-    pos: &mut usize,
-    start: usize,
-) {
-    *pos += 1;
-    tokens.push(Spanned { token, span: Span { start, end: *pos } });
 }
 
 /// Identifiers may contain letters, digits, `_`, `$`, and (for dialect
@@ -877,72 +901,67 @@ mod tests {
         assert_eq!(toks[1].token, Token::Str("a\nb".into()));
     }
 
-    // ----- Chunked lexing ---------------------------------------------------
+    // ----- Pull lexing -------------------------------------------------------
 
-    /// A source big enough to clear the chunked-lex threshold, full of
-    /// boundary hazards: strings containing newlines, braces, and `//`;
-    /// comments containing braces and quotes; nested brace regions.
-    fn tricky_source() -> String {
-        let mut src = String::new();
-        for i in 0..300 {
-            src.push_str(&format!(
-                "%v{i} = \"d.op\"() {{ s = \"br{{ace \\\" // not a comment\n}}quote\" }} : () -> f32\n"
-            ));
-            src.push_str("// comment with { braces } and \"quotes\"\n");
-            src.push_str(&format!("block{i} {{\n  inner {{ %x{i} = foo() : () -> f32 }}\n}}\n"));
+    #[test]
+    fn pull_lexer_yields_the_collected_sequence() {
+        let source = "%abc = foo.bar !t<0x1F, \"s\\n\"> -> -2.5e3 // tail\n^bb @f";
+        let mut lexer = Lexer::new(source);
+        let mut pulled = Vec::new();
+        loop {
+            let spanned = lexer.next_token();
+            let end = spanned.token == Token::Eof;
+            pulled.push(spanned);
+            if end {
+                break;
+            }
         }
-        src
+        assert_eq!(pulled, lex(source).unwrap());
+        assert!(lexer.error().is_none());
     }
 
     #[test]
-    fn chunked_lex_matches_whole_lex() {
-        let src = tricky_source();
-        assert!(src.len() >= CHUNK_MIN_SOURCE);
-        let whole = lex(&src).unwrap();
-        for jobs in [2, 3, 8] {
-            let chunked = lex_chunked(&src, jobs).unwrap();
-            assert_eq!(chunked, whole, "jobs={jobs}");
+    fn lex_error_ends_the_stream() {
+        let source = "a ~ b";
+        let mut lexer = Lexer::new(source);
+        assert_eq!(lexer.next_token().token, Token::Ident("a"));
+        for _ in 0..2 {
+            let spanned = lexer.next_token();
+            assert_eq!(spanned.token, Token::Eof);
+            assert_eq!(spanned.span, Span { start: 5, end: 5 });
         }
+        assert_eq!(lexer.error(), Some(&lex(source).unwrap_err()));
+        assert_eq!(lexer.error().and_then(Diagnostic::offset), Some(2));
     }
 
     #[test]
-    fn chunked_lex_falls_back_on_small_input() {
-        let src = "%a = foo() : () -> f32";
-        assert_eq!(lex_chunked(src, 8).unwrap(), lex(src).unwrap());
+    fn token_stream_lookahead_and_bump() {
+        let mut stream = TokenStream::new("( ) x");
+        assert_eq!(stream.peek(), &Token::LParen);
+        assert_eq!(stream.peek2(), &Token::RParen);
+        assert_eq!(stream.offset(), 0);
+        assert_eq!(stream.bump(), Token::LParen);
+        assert_eq!(stream.offset(), 2);
+        assert_eq!(stream.bump(), Token::RParen);
+        assert_eq!(stream.peek2(), &Token::Eof);
+        assert_eq!(stream.bump(), Token::Ident("x"));
+        assert_eq!(stream.bump(), Token::Eof);
+        assert_eq!(stream.bump(), Token::Eof);
+        assert_eq!(stream.offset(), 5);
+        assert_eq!(stream.finish(Ok(7)), Ok(7));
     }
 
     #[test]
-    fn chunked_lex_rebases_error_offsets() {
-        // Put a lex error (stray backtick) far past the first chunk target.
-        let mut src = String::new();
-        for _ in 0..600 {
-            src.push_str("%v = foo() : () -> f32\n");
-        }
-        let bad_at = src.len();
-        src.push('`');
-        let whole_err = lex(&src).unwrap_err();
-        let chunked_err = lex_chunked(&src, 4).unwrap_err();
-        assert_eq!(whole_err.offset(), Some(bad_at));
-        assert_eq!(chunked_err.offset(), whole_err.offset());
-        assert_eq!(chunked_err.message(), whole_err.message());
-    }
-
-    #[test]
-    fn chunk_boundaries_respect_strings_and_braces() {
-        let src = tricky_source();
-        let bounds = chunk_boundaries(&src, 4);
-        assert!(bounds.len() > 2, "expected splits, got {bounds:?}");
-        for &b in &bounds[1..bounds.len() - 1] {
-            // Every split lands just past a newline...
-            assert_eq!(src.as_bytes()[b - 1], b'\n', "split {b} not after newline");
-            // ...and the prefix up to it has balanced braces (depth 0).
-            let prefix = &src[..b];
-            let depth = prefix.matches('{').count() as isize - prefix.matches('}').count() as isize;
-            // Braces inside strings/comments don't count for the lexer, but
-            // the tricky source keeps them paired inside each line, so raw
-            // counting is a valid cross-check here.
-            assert_eq!(depth, 0, "split {b} at nonzero depth");
-        }
+    fn finish_puts_a_later_lex_error_ahead_of_the_parse_error() {
+        let source = "x y z \"unterminated";
+        let mut stream = TokenStream::new(source);
+        stream.bump();
+        let parse_error: Result<()> = Err(Diagnostic::at(2, "parse error"));
+        assert_eq!(stream.finish(parse_error), Err(lex(source).unwrap_err()));
+        // A parse error with no lex error anywhere stands.
+        let mut clean = TokenStream::new("x y z");
+        let parse_error: Result<()> = Err(Diagnostic::at(2, "parse error"));
+        assert_eq!(clean.finish(parse_error.clone()), parse_error);
     }
 
     // ----- TokenBuf ---------------------------------------------------------

@@ -8,7 +8,7 @@
 
 use crate::attrs::Attribute;
 use crate::block::BlockRef;
-use crate::context::Context;
+use crate::context::{Context, EraseScratch};
 use crate::entity::entity_handle;
 use crate::inline_vec::InlineVec;
 use crate::region::RegionRef;
@@ -603,12 +603,28 @@ impl Context {
                 }
             }
         }
-        // Drop operand uses originating from the subtree, so that internal
-        // def-use edges do not block destruction.
+        self.detach_op(op);
+        self.erase_collected(scratch);
+    }
+
+    /// Erases a region no operation owns, with everything nested inside it.
+    /// Nothing outside the region may use a value defined inside it.
+    pub(crate) fn erase_detached_region(&mut self, region: RegionRef) {
+        debug_assert!(region.parent_op(self).is_none(), "region is owned by an op");
+        let mut scratch = std::mem::take(self.erase_scratch_mut());
+        scratch.clear();
+        self.collect_region(region, &mut scratch.ops, &mut scratch.blocks, &mut scratch.regions);
+        self.erase_collected(scratch);
+    }
+
+    /// Erases every op, block and region collected in `scratch`, then
+    /// hands the emptied scratch back to the context for reuse.
+    fn erase_collected(&mut self, mut scratch: EraseScratch) {
+        // Drop operand uses originating from the subtree first, so that
+        // internal def-use edges do not block destruction.
         for i in 0..scratch.ops.len() {
             self.unlink_all_operands(scratch.ops[i]);
         }
-        self.detach_op(op);
         for &o in &scratch.ops {
             let data = self.ops_mut().erase(o.0);
             self.recycle_op_data(data);
@@ -621,6 +637,13 @@ impl Context {
         }
         scratch.clear();
         *self.erase_scratch_mut() = scratch;
+    }
+
+    /// Erases an empty block that was never placed in a region.
+    pub(crate) fn erase_detached_block(&mut self, block: BlockRef) {
+        debug_assert!(block.parent_region(self).is_none(), "block is placed in a region");
+        debug_assert!(block.ops(self).is_empty(), "block still holds ops");
+        self.blocks_mut().erase(block.0);
     }
 
     /// Unlinks every operand use of `op` from its value's use-chain.
@@ -641,12 +664,22 @@ impl Context {
     ) {
         ops.push(op);
         for &region in self.op_data(op).regions.iter() {
-            regions.push(region);
-            for &block in self.region_data(region).blocks.iter() {
-                blocks.push(block);
-                for &nested in self.block_data(block).ops.iter() {
-                    self.collect_subtree(nested, ops, blocks, regions);
-                }
+            self.collect_region(region, ops, blocks, regions);
+        }
+    }
+
+    fn collect_region(
+        &self,
+        region: RegionRef,
+        ops: &mut Vec<OpRef>,
+        blocks: &mut Vec<BlockRef>,
+        regions: &mut Vec<RegionRef>,
+    ) {
+        regions.push(region);
+        for &block in self.region_data(region).blocks.iter() {
+            blocks.push(block);
+            for &nested in self.block_data(block).ops.iter() {
+                self.collect_subtree(nested, ops, blocks, regions);
             }
         }
     }

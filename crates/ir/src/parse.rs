@@ -6,18 +6,26 @@
 //! references to *blocks* are supported; forward references to values are
 //! not — a documented divergence from MLIR's graph regions).
 //!
-//! The parser is zero-copy end to end: tokens borrow `&str` slices of the
+//! The parser is zero-copy end to end: it pulls tokens one at a time from
+//! a [`TokenStream`] (no token vector), tokens borrow `&str` slices of the
 //! source (see [`crate::lexer`]), identifiers intern straight into
 //! [`Symbol`]s with a single hash lookup, and value/block scopes are keyed
 //! by `Symbol` so resolution never materializes an owned `String`.
+//!
+//! A failed parse leaves the context's IR as it found it: the error path
+//! erases the finished top-level ops, the regions built for an op that was
+//! never created, and forward-referenced blocks that were never placed.
+//! The success path records nothing for this beyond an inline list of the
+//! regions a custom-syntax hook has parsed.
 
 use crate::fasthash::FastMap;
+use crate::inline_vec::InlineVec;
 
 use crate::attrs::{AttrData, Attribute};
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::{Diagnostic, Result};
-use crate::lexer::{lex, Spanned, Token};
+use crate::lexer::{Token, TokenStream};
 use crate::op::{OpName, OpRef, OperationState};
 use crate::region::RegionRef;
 use crate::symbol::Symbol;
@@ -34,29 +42,17 @@ use crate::value::Value;
 /// Returns a diagnostic with a byte offset into `source` on malformed
 /// input.
 pub fn parse_module(ctx: &mut Context, source: &str) -> Result<OpRef> {
-    parse_module_tokens(ctx, lex(source)?)
-}
-
-/// Like [`parse_module`], but the source is lexed in up to `lex_jobs`
-/// concurrent chunks (split at brace-depth-0 newlines, spans spliced back
-/// to absolute offsets — see [`crate::lexer::lex_chunked`]). The parse
-/// itself stays sequential; the resulting IR, and any diagnostic, are
-/// identical to [`parse_module`].
-///
-/// # Errors
-///
-/// Returns a diagnostic with a byte offset into `source` on malformed
-/// input.
-pub fn parse_module_chunked(ctx: &mut Context, source: &str, lex_jobs: usize) -> Result<OpRef> {
-    parse_module_tokens(ctx, crate::lexer::lex_chunked(source, lex_jobs)?)
-}
-
-fn parse_module_tokens<'s>(ctx: &mut Context, tokens: Vec<Spanned<'s>>) -> Result<OpRef> {
-    let mut parser = Parser::new(ctx, tokens);
+    let mut parser = Parser::new(ctx, source);
     parser.push_scopes();
     let mut ops = Vec::new();
-    while parser.peek() != &Token::Eof {
-        ops.push(parser.parse_op()?);
+    let parsed = parser.parse_top_level(&mut ops);
+    if let Err(diag) = parser.tokens.finish(parsed) {
+        // Later ops use earlier ones' results: erase back to front.
+        for &op in ops.iter().rev() {
+            parser.ctx.erase_op(op);
+        }
+        parser.erase_unplaced_blocks();
+        return Err(diag);
     }
     parser.pop_scopes();
     let module_name = parser.ctx.op_name("builtin", "module");
@@ -77,11 +73,9 @@ fn parse_module_tokens<'s>(ctx: &mut Context, tokens: Vec<Spanned<'s>>) -> Resul
 ///
 /// Returns a diagnostic on malformed input or trailing tokens.
 pub fn parse_type_str(ctx: &mut Context, source: &str) -> Result<Type> {
-    let tokens = lex(source)?;
-    let mut parser = Parser::new(ctx, tokens);
-    let ty = parser.parse_type()?;
-    parser.expect_eof()?;
-    Ok(ty)
+    let mut parser = Parser::new(ctx, source);
+    let parsed = parser.parse_type().and_then(|ty| parser.expect_eof().map(|()| ty));
+    parser.tokens.finish(parsed)
 }
 
 /// Parses a single attribute from `source` (e.g. `"42 : i32"`).
@@ -90,24 +84,21 @@ pub fn parse_type_str(ctx: &mut Context, source: &str) -> Result<Type> {
 ///
 /// Returns a diagnostic on malformed input or trailing tokens.
 pub fn parse_attr_str(ctx: &mut Context, source: &str) -> Result<Attribute> {
-    let tokens = lex(source)?;
-    let mut parser = Parser::new(ctx, tokens);
-    let attr = parser.parse_attribute()?;
-    parser.expect_eof()?;
-    Ok(attr)
+    let mut parser = Parser::new(ctx, source);
+    let parsed = parser.parse_attribute().and_then(|attr| parser.expect_eof().map(|()| attr));
+    parser.tokens.finish(parsed)
 }
 
 /// A named group of result values (`%x:2` defines a group of two). The
 /// single-result common case stays inline in the scope map entry.
 #[derive(Debug, Clone)]
 struct ValueGroup {
-    values: crate::inline_vec::InlineVec<Value, 1>,
+    values: InlineVec<Value, 1>,
 }
 
 pub(crate) struct Parser<'s, 'c> {
     pub(crate) ctx: &'c mut Context,
-    tokens: Vec<Spanned<'s>>,
-    pos: usize,
+    tokens: TokenStream<'s>,
     /// Scopes keyed by interned name symbol; the textual name only exists
     /// as a source slice.
     value_scopes: Vec<FastMap<Symbol, ValueGroup>>,
@@ -118,11 +109,10 @@ pub(crate) struct Parser<'s, 'c> {
 }
 
 impl<'s, 'c> Parser<'s, 'c> {
-    fn new(ctx: &'c mut Context, tokens: Vec<Spanned<'s>>) -> Self {
+    fn new(ctx: &'c mut Context, source: &'s str) -> Self {
         Parser {
             ctx,
-            tokens,
-            pos: 0,
+            tokens: TokenStream::new(source),
             value_scopes: Vec::new(),
             block_scopes: Vec::new(),
             value_pool: Vec::new(),
@@ -133,27 +123,17 @@ impl<'s, 'c> Parser<'s, 'c> {
     // ----- token plumbing ---------------------------------------------------
 
     fn peek(&self) -> &Token<'s> {
-        &self.tokens[self.pos].token
-    }
-
-    fn peek2(&self) -> &Token<'s> {
-        let idx = (self.pos + 1).min(self.tokens.len() - 1);
-        &self.tokens[idx].token
+        self.tokens.peek()
     }
 
     fn offset(&self) -> usize {
-        self.tokens[self.pos].span.start
+        self.tokens.offset()
     }
 
     /// Takes the current token and advances. Taking (rather than cloning)
-    /// means even owned `Str` payloads move out without reallocating; the
-    /// consumed slot is backfilled with `Eof` and never re-read.
+    /// means even owned `Str` payloads move out without reallocating.
     fn bump(&mut self) -> Token<'s> {
-        let tok = std::mem::replace(&mut self.tokens[self.pos].token, Token::Eof);
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        tok
+        self.tokens.bump()
     }
 
     fn expect(&mut self, expected: &Token<'_>) -> Result<()> {
@@ -276,15 +256,12 @@ impl<'s, 'c> Parser<'s, 'c> {
     fn define_value_group(
         &mut self,
         name: &str,
-        values: crate::inline_vec::InlineVec<Value, 1>,
+        values: InlineVec<Value, 1>,
     ) -> Result<()> {
         let sym = self.ctx.symbol(name);
         let scope = self.value_scopes.last_mut().expect("no value scope");
         if scope.contains_key(&sym) {
-            return Err(Diagnostic::at(
-                self.tokens[self.pos].span.start,
-                format!("redefinition of value `%{name}`"),
-            ));
+            return Err(self.error(format!("redefinition of value `%{name}`")));
         }
         scope.insert(sym, ValueGroup { values });
         Ok(())
@@ -336,6 +313,27 @@ impl<'s, 'c> Parser<'s, 'c> {
             .expect("no block scope")
             .insert(sym, block);
         block
+    }
+
+    // ----- error-path unwinding ---------------------------------------------
+
+    /// Erases the blocks of the innermost scope that were referenced as
+    /// successors but never placed in a region.
+    fn erase_unplaced_blocks(&mut self) {
+        let scope = self.block_scopes.last().expect("no block scope");
+        for &block in scope.values() {
+            if block.parent_region(self.ctx).is_none() {
+                self.ctx.erase_detached_block(block);
+            }
+        }
+    }
+
+    /// Erases regions that were built for an operation that was never
+    /// created, innermost-last-built first.
+    fn erase_orphan_regions(&mut self, regions: &[RegionRef]) {
+        for &region in regions.iter().rev() {
+            self.ctx.erase_detached_region(region);
+        }
     }
 
     // ----- types -------------------------------------------------------------
@@ -709,11 +707,17 @@ impl<'s, 'c> Parser<'s, 'c> {
 
     // ----- operations ----------------------------------------------------------
 
+    fn parse_top_level(&mut self, ops: &mut Vec<OpRef>) -> Result<()> {
+        while self.peek() != &Token::Eof {
+            ops.push(self.parse_op()?);
+        }
+        Ok(())
+    }
+
     fn parse_op(&mut self) -> Result<OpRef> {
         // Result definitions: `%a:2, %b = ...` (inline up to two defs —
         // the overwhelmingly common shapes are zero or one).
-        let mut defs: crate::inline_vec::InlineVec<(&'s str, usize), 2> =
-            crate::inline_vec::InlineVec::new();
+        let mut defs: InlineVec<(&'s str, usize), 2> = InlineVec::new();
         if matches!(self.peek(), Token::ValueId(_)) {
             loop {
                 // After a comma the next token need not be a value id
@@ -762,7 +766,14 @@ impl<'s, 'c> Parser<'s, 'c> {
             }
         };
 
-        // Bind result names.
+        if let Err(diag) = self.bind_results(op, &defs) {
+            self.ctx.erase_op(op);
+            return Err(diag);
+        }
+        Ok(op)
+    }
+
+    fn bind_results(&mut self, op: OpRef, defs: &[(&'s str, usize)]) -> Result<()> {
         let total: usize = defs.iter().map(|(_, n)| n).sum();
         if !defs.is_empty() && total != op.num_results(self.ctx) {
             return Err(self.error(format!(
@@ -772,14 +783,13 @@ impl<'s, 'c> Parser<'s, 'c> {
             )));
         }
         let mut next = 0usize;
-        for i in 0..defs.len() {
-            let (name, count) = defs[i];
-            let values: crate::inline_vec::InlineVec<Value, 1> =
+        for &(name, count) in defs {
+            let values: InlineVec<Value, 1> =
                 (next..next + count).map(|i| op.result(self.ctx, i)).collect();
             next += count;
             self.define_value_group(name, values)?;
         }
-        Ok(op)
+        Ok(())
     }
 
     fn split_op_name(&mut self, full: &str) -> Result<OpName> {
@@ -796,6 +806,16 @@ impl<'s, 'c> Parser<'s, 'c> {
         // The parsed lists accumulate directly into the operation state's
         // inline storage: a typical op never allocates on this path.
         let mut state = OperationState::new(name);
+        match self.parse_generic_op_parts(&mut state) {
+            Ok(()) => Ok(self.ctx.create_op(state)),
+            Err(diag) => {
+                self.erase_orphan_regions(&state.regions);
+                Err(diag)
+            }
+        }
+    }
+
+    fn parse_generic_op_parts(&mut self, state: &mut OperationState) -> Result<()> {
         self.expect(&Token::LParen)?;
         if !self.consume_if(&Token::RParen) {
             loop {
@@ -888,7 +908,7 @@ impl<'s, 'c> Parser<'s, 'c> {
             self.expect(&Token::RParen)?;
         }
         self.expect(&Token::Arrow)?;
-        self.parse_result_types_grouped_or_empty_into(&mut state)?;
+        self.parse_result_types_grouped_or_empty_into(state)?;
 
         if num_operand_types != state.operands.len() {
             return Err(Diagnostic::at(
@@ -900,11 +920,10 @@ impl<'s, 'c> Parser<'s, 'c> {
                 ),
             ));
         }
-        if let Some(diag) = type_mismatch {
-            return Err(diag);
+        match type_mismatch {
+            Some(diag) => Err(diag),
+            None => Ok(()),
         }
-
-        Ok(self.ctx.create_op(state))
     }
 
     /// `() -> ()`-style empty lists are common in result position.
@@ -912,7 +931,7 @@ impl<'s, 'c> Parser<'s, 'c> {
         &mut self,
         state: &mut OperationState,
     ) -> Result<()> {
-        if self.peek() == &Token::LParen && self.peek2() == &Token::RParen {
+        if self.peek() == &Token::LParen && self.tokens.peek2() == &Token::RParen {
             self.bump();
             self.bump();
             // A trailing `-> (...)` after `()` would mean a function type
@@ -949,10 +968,18 @@ impl<'s, 'c> Parser<'s, 'c> {
                 "operation `{full_name}` has no custom syntax; use the quoted generic form"
             ))
         })?;
-        let mut op_parser = OpParser { parser: self, name };
-        let mut state = syntax.parse(&mut op_parser)?;
-        state.name = name;
-        Ok(self.ctx.create_op(state))
+        let mut op_parser = OpParser { parser: self, name, regions: InlineVec::new() };
+        match syntax.parse(&mut op_parser) {
+            Ok(mut state) => {
+                state.name = name;
+                Ok(self.ctx.create_op(state))
+            }
+            Err(diag) => {
+                let regions = op_parser.regions;
+                self.erase_orphan_regions(&regions);
+                Err(diag)
+            }
+        }
     }
 
     // ----- regions ---------------------------------------------------------------
@@ -961,7 +988,17 @@ impl<'s, 'c> Parser<'s, 'c> {
         self.expect(&Token::LBrace)?;
         let region = self.ctx.create_region();
         self.push_scopes();
+        let parsed = self.parse_region_body(region, entry_args);
+        if parsed.is_err() {
+            // Unplaced blocks first: the region's own blocks die with it.
+            self.erase_unplaced_blocks();
+            self.ctx.erase_detached_region(region);
+        }
+        self.pop_scopes();
+        parsed.map(|()| region)
+    }
 
+    fn parse_region_body(&mut self, region: RegionRef, entry_args: &[(&str, Type)]) -> Result<()> {
         let starts_with_label = matches!(self.peek(), Token::BlockId(_));
         if starts_with_label && !entry_args.is_empty() {
             return Err(self.error(
@@ -973,8 +1010,7 @@ impl<'s, 'c> Parser<'s, 'c> {
             if self.peek() == &Token::RBrace && entry_args.is_empty() {
                 // Empty region.
                 self.bump();
-                self.pop_scopes();
-                return Ok(region);
+                return Ok(());
             }
             let entry = self.ctx.create_block([]);
             self.ctx.append_block(region, entry);
@@ -1035,8 +1071,7 @@ impl<'s, 'c> Parser<'s, 'c> {
                 return Err(self.error(format!("use of undefined block `^{label}`")));
             }
         }
-        self.pop_scopes();
-        Ok(region)
+        Ok(())
     }
 }
 
@@ -1057,6 +1092,9 @@ fn parse_int_keyword(name: &str, prefix: &str) -> Option<u32> {
 pub struct OpParser<'p, 's, 'c> {
     parser: &'p mut Parser<'s, 'c>,
     name: OpName,
+    /// Regions handed to the hook, erased if the hook fails (its state,
+    /// which would have adopted them, is gone by then).
+    regions: InlineVec<RegionRef, 1>,
 }
 
 impl<'p, 's, 'c> OpParser<'p, 's, 'c> {
@@ -1192,7 +1230,7 @@ impl<'p, 's, 'c> OpParser<'p, 's, 'c> {
     ///
     /// Propagates region parsing failures.
     pub fn parse_region(&mut self) -> Result<RegionRef> {
-        self.parser.parse_region(&[])
+        self.parse_region_with_entry(&[])
     }
 
     /// Parses a nested region whose entry block binds `args` (used by
@@ -1202,7 +1240,9 @@ impl<'p, 's, 'c> OpParser<'p, 's, 'c> {
     ///
     /// Propagates region parsing failures.
     pub fn parse_region_with_entry(&mut self, args: &[(&str, Type)]) -> Result<RegionRef> {
-        self.parser.parse_region(args)
+        let region = self.parser.parse_region(args)?;
+        self.regions.push(region);
+        Ok(region)
     }
 
     /// Parses an optional trailing attribute dictionary into `state`.
@@ -1513,6 +1553,153 @@ mod tests {
         let mut ctx = Context::new();
         let err = parse_attr_str(&mut ctx, "0x1FFFFFFFFFFFFFFFF : f64").unwrap_err();
         assert!(err.to_string().contains("does not fit in 64 bits"), "{err}");
+    }
+
+    // ----- Failed parses leave the context as they found it -------------------
+
+    /// Live ops, blocks and regions: what a failed parse must not change.
+    fn live_entities(ctx: &mut Context) -> (usize, usize, usize) {
+        (ctx.num_ops(), ctx.blocks_mut().len(), ctx.regions_mut().len())
+    }
+
+    /// Parses `src` into `ctx`, expecting failure, and asserts that the
+    /// context holds exactly the IR it held before.
+    fn assert_rejected_without_leaks(ctx: &mut Context, src: &str) -> Diagnostic {
+        let before = live_entities(ctx);
+        let err = parse_module(ctx, src).expect_err("source must be rejected");
+        assert_eq!(live_entities(ctx), before, "leaked IR after: {err}");
+        err
+    }
+
+    #[test]
+    fn error_at_top_level_erases_finished_ops() {
+        let mut ctx = Context::new();
+        let keep = parse_module(&mut ctx, r#""test.keep"() : () -> ()"#).unwrap();
+        let src = r#"
+            %a = "test.a"() : () -> f32
+            %b = "test.b"(%a) : (f32) -> f32
+            "test.c"(%missing) : (f32) -> ()
+        "#;
+        for _ in 0..1000 {
+            let err = assert_rejected_without_leaks(&mut ctx, src);
+            assert!(err.message().contains("undefined value `%missing`"), "{err}");
+        }
+        // IR that existed before the failed parses is untouched.
+        verify_op(&ctx, keep).unwrap();
+    }
+
+    #[test]
+    fn error_two_regions_deep_erases_every_level() {
+        let mut ctx = Context::new();
+        let src = r#"
+            %x = "test.x"() : () -> f32
+            "test.outer"() ({
+              "test.first"(%x) : (f32) -> ()
+              "test.mid"() ({
+              ^entry(%arg: f32):
+                "test.use"(%arg, %x) : (f32, f32) -> ()
+                "test.br"()[^later, ^never] : () -> ()
+              ^later:
+                "test.bad"(%missing) : (f32) -> ()
+              }) : () -> ()
+            }, {
+              "test.second"() : () -> ()
+            }) : () -> ()
+        "#;
+        let err = assert_rejected_without_leaks(&mut ctx, src);
+        assert!(err.message().contains("undefined value `%missing`"), "{err}");
+    }
+
+    #[test]
+    fn undefined_block_error_erases_the_unplaced_block() {
+        let mut ctx = Context::new();
+        let src = r#""test.region"() ({
+  "test.br"()[^nowhere] : () -> ()
+}) : () -> ()"#;
+        let err = assert_rejected_without_leaks(&mut ctx, src);
+        assert!(err.message().contains("undefined block"), "{err}");
+    }
+
+    #[test]
+    fn error_after_regions_before_signature_erases_the_regions() {
+        let mut ctx = Context::new();
+        for src in [
+            r#""test.outer"() ({ "test.a"() : () -> () }, { "test.b"() : () -> () }) : (i32 -> ()"#,
+            r#""test.outer"() ({ "test.a"() : () -> () }) {k = } : () -> ()"#,
+            r#""test.outer"() ({ "test.a"() : () -> () }) : () -> ()
+               %a, %b = "test.two"() ({ "test.c"() : () -> () }) : () -> f32"#,
+        ] {
+            assert_rejected_without_leaks(&mut ctx, src);
+        }
+    }
+
+    #[test]
+    fn lex_error_erases_what_the_parse_built() {
+        let mut ctx = Context::new();
+        // Between top-level ops: every op parses, then the lex error wins.
+        let between = "\"test.a\"() : () -> ()\n~\n\"test.b\"() : () -> ()";
+        let err = assert_rejected_without_leaks(&mut ctx, between);
+        assert_eq!(err, crate::lexer::lex(between).unwrap_err());
+        // Inside a region: the stream ends mid-op.
+        let nested =
+            "\"test.a\"() ({ \"test.b\"() ({ \"test.c\"() : () -> () ` }) : () -> () }) : () -> ()";
+        let err = assert_rejected_without_leaks(&mut ctx, nested);
+        assert_eq!(err, crate::lexer::lex(nested).unwrap_err());
+    }
+
+    /// `test.guarded { region } done`: a native hook that fails after it
+    /// has parsed its region when the `done` keyword is missing.
+    struct GuardedSyntax;
+
+    impl crate::dialect::OpSyntax for GuardedSyntax {
+        fn print(&self, _: &Context, _: OpRef, _: &mut crate::print::Printer<'_>) {}
+
+        fn parse(&self, p: &mut OpParser<'_, '_, '_>) -> Result<OperationState> {
+            let region = p.parse_region()?;
+            p.expect_keyword("done")?;
+            Ok(OperationState::new(p.op_name()).add_regions([region]))
+        }
+    }
+
+    #[test]
+    fn failing_syntax_hook_erases_the_regions_it_parsed() {
+        let mut ctx = Context::new();
+        let name = ctx.symbol("test");
+        let op = ctx.symbol("guarded");
+        let mut dialect = crate::dialect::DialectInfo::new(name);
+        dialect.add_op(crate::dialect::OpInfo {
+            name: op,
+            summary: String::new(),
+            is_terminator: false,
+            verifier: None,
+            syntax: Some(std::sync::Arc::new(GuardedSyntax)),
+            decl: Default::default(),
+        });
+        ctx.register_dialect(dialect);
+        let good = r#"test.guarded { "test.a"() : () -> () } done"#;
+        let module = parse_module(&mut ctx, good).unwrap();
+        ctx.erase_op(module);
+        let bad = r#"test.guarded { test.guarded { "test.a"() : () -> () } done } oops"#;
+        let err = assert_rejected_without_leaks(&mut ctx, bad);
+        assert!(err.message().contains("expected `done`"), "{err}");
+    }
+
+    #[test]
+    fn parse_error_then_lex_error_reports_the_lex_error() {
+        let mut ctx = Context::new();
+        // `junk` is a parse error; the unterminated string after it is a
+        // lex error, and lexing the whole source first would report it.
+        let src = "\"test.a\"() : () -> ()\njunk \"test.b\"() : () -> ()\n\"never closed";
+        let lexed = crate::lexer::lex(src).unwrap_err();
+        assert_eq!(parse_module(&mut ctx, src).unwrap_err(), lexed);
+        assert_eq!(
+            parse_type_str(&mut ctx, "i32 i32 `").unwrap_err(),
+            crate::lexer::lex("i32 i32 `").unwrap_err()
+        );
+        assert_eq!(
+            parse_attr_str(&mut ctx, "[1, ] `").unwrap_err(),
+            crate::lexer::lex("[1, ] `").unwrap_err()
+        );
     }
 
     #[test]

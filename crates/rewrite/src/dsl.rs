@@ -40,7 +40,7 @@
 //! `try_match` walk per pattern.
 
 use irdl_ir::diag::{Diagnostic, Result};
-use irdl_ir::lexer::{lex, Spanned, Token};
+use irdl_ir::lexer::{Token, TokenStream};
 use irdl_ir::{Attribute, Context, InlineVec, OpName, OperationState, OpRef, Symbol, Value};
 
 use crate::matcher::{MatchProgram, OpPath, Pred, ValuePos};
@@ -129,14 +129,10 @@ impl Bindings {
 ///
 /// Returns a diagnostic with an offset into `source` on malformed input.
 pub fn parse_patterns(ctx: &mut Context, source: &str) -> Result<PatternSet> {
-    let tokens = lex(source)?;
-    let mut parser = DslParser { ctx, tokens, pos: 0 };
+    let mut parser = DslParser { ctx, tokens: TokenStream::new(source) };
     let mut set = PatternSet::new();
-    while parser.peek() != &Token::Eof {
-        let pattern = parser.parse_pattern()?;
-        set.add(std::sync::Arc::new(pattern));
-    }
-    Ok(set)
+    let parsed = parser.parse_all(|pattern| set.add(std::sync::Arc::new(pattern)));
+    parser.tokens.finish(parsed).map(|()| set)
 }
 
 /// Parsed `[%def =] dialect.op(%operand, ...) [{key = value, ...}]`.
@@ -171,27 +167,28 @@ impl<'p> SlotTable<'p> {
 
 struct DslParser<'s, 'c> {
     ctx: &'c mut Context,
-    tokens: Vec<Spanned<'s>>,
-    pos: usize,
+    tokens: TokenStream<'s>,
 }
 
 impl<'s, 'c> DslParser<'s, 'c> {
     fn peek(&self) -> &Token<'s> {
-        &self.tokens[self.pos].token
+        self.tokens.peek()
     }
 
-    /// Takes the current token and advances (consumed slots are backfilled
-    /// with `Eof` and never re-read).
     fn bump(&mut self) -> Token<'s> {
-        let tok = std::mem::replace(&mut self.tokens[self.pos].token, Token::Eof);
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        tok
+        self.tokens.bump()
     }
 
     fn error(&self, message: impl Into<String>) -> Diagnostic {
-        Diagnostic::at(self.tokens[self.pos].span.start, message)
+        Diagnostic::at(self.tokens.offset(), message)
+    }
+
+    /// Parses every pattern up to the end of input, handing each to `add`.
+    fn parse_all(&mut self, mut add: impl FnMut(DeclarativePattern)) -> Result<()> {
+        while self.peek() != &Token::Eof {
+            add(self.parse_pattern()?);
+        }
+        Ok(())
     }
 
     fn expect(&mut self, token: &Token<'_>) -> Result<()> {
@@ -451,7 +448,7 @@ impl<'s, 'c> DslParser<'s, 'c> {
     }
 
     fn parse_op_head(&mut self) -> Result<OpHead> {
-        let offset = self.tokens[self.pos].span.start;
+        let offset = self.tokens.offset();
         let def = if matches!(self.peek(), Token::ValueId(_)) {
             let def = self.expect_value()?;
             self.expect(&Token::Equals)?;
@@ -711,12 +708,10 @@ mod tests {
     /// Parses through the module-private parser to keep the concrete
     /// `DeclarativePattern` values (`try_match` is not on the trait).
     fn parse_declarative(ctx: &mut Context, source: &str) -> Vec<DeclarativePattern> {
-        let tokens = lex(source).unwrap();
-        let mut parser = DslParser { ctx, tokens, pos: 0 };
+        let mut parser = DslParser { ctx, tokens: TokenStream::new(source) };
         let mut declarative = Vec::new();
-        while parser.peek() != &Token::Eof {
-            declarative.push(parser.parse_pattern().unwrap());
-        }
+        let parsed = parser.parse_all(|pattern| declarative.push(pattern));
+        parser.tokens.finish(parsed).unwrap();
         declarative
     }
 
@@ -910,6 +905,16 @@ Pattern conorm {
         )
         .unwrap_err();
         assert!(err.to_string().contains("root"), "{err}");
+    }
+
+    #[test]
+    fn parse_error_then_lex_error_reports_the_lex_error() {
+        let mut ctx = Context::new();
+        // Missing Replace is a parse error; the malformed hex literal in
+        // the next pattern is a lex error, and the lex error wins.
+        let src = "Pattern p { Match { %r = a.b(%x) } Rewrite { } }\nPattern q { 0x }";
+        let lexed = irdl_ir::lexer::lex(src).unwrap_err();
+        assert_eq!(parse_patterns(&mut ctx, src).unwrap_err(), lexed);
     }
 
     #[test]

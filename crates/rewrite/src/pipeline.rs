@@ -48,12 +48,11 @@ pub struct PipelineOptions {
     pub matcher: MatcherMode,
     /// Print results in the generic form.
     pub generic: bool,
-    /// Threads used *inside* one module (clamped to at least 1): chunked
-    /// lexing of text inputs and parallel verification. Orthogonal to
-    /// `jobs`, which fans out *across* modules — a giant single module
-    /// gains nothing from `jobs` but scales with `intra_jobs`. Both paths
-    /// are byte-identical to their sequential counterparts and fall back
-    /// to them on small modules, so `intra_jobs > 1` is always safe.
+    /// Threads used *inside* one module (clamped to at least 1) to verify
+    /// it in parallel. Orthogonal to `jobs`, which fans out *across*
+    /// modules. Parallel verification is byte-identical to the sequential
+    /// walk and falls back to it on small modules, so `intra_jobs > 1` is
+    /// always safe.
     pub intra_jobs: usize,
 }
 
@@ -282,8 +281,9 @@ fn process_module(
 
     let start = Instant::now();
     let module = match input {
-        InputRef::Text(source) => irdl_ir::parse::parse_module_chunked(ctx, source, intra_jobs)
-            .map_err(|d| d.render(source))?,
+        InputRef::Text(source) => {
+            irdl_ir::parse::parse_module(ctx, source).map_err(|d| d.render(source))?
+        }
         InputRef::Bytecode(bytes) => {
             irdl_ir::bytecode::decode_module(ctx, bytes).map_err(|d| d.to_string())?
         }
@@ -553,9 +553,9 @@ Pattern add_to_double {
         assert!(report.results[1].as_ref().unwrap_err().contains("magic"));
     }
 
-    /// `intra_jobs > 1` (chunked lexing + parallel verification) must
-    /// produce outputs byte-identical to the sequential run, including on
-    /// a module large enough to actually take both threaded paths.
+    /// `intra_jobs > 1` (parallel verification) must produce outputs
+    /// byte-identical to the sequential run, including on a module large
+    /// enough to actually take the threaded path.
     #[test]
     fn intra_jobs_is_byte_identical() {
         let (bundle, patterns) = toy_setup();

@@ -31,9 +31,9 @@
 //! - `--emit=F`          output format: `text` (the default) or
 //!   `bytecode` (the `IRBC` binary module format, single input only)
 //! - `--jobs <n>`        process inputs on `n` worker threads
-//! - `--intra-jobs <n>`  threads *inside* each module: chunked lexing and
-//!   parallel verification (byte-identical to sequential; orthogonal to
-//!   `--jobs`, which fans out across modules)
+//! - `--intra-jobs <n>`  threads *inside* each module for parallel
+//!   verification (byte-identical to sequential; orthogonal to `--jobs`,
+//!   which fans out across modules)
 //! - `--timings`         report per-stage wall-clock times
 //!   (parse/verify/rewrite/print) on stderr, per input
 //! - `<file>...`         the IR inputs (defaults to stdin)
@@ -327,8 +327,7 @@ fn run(opts: Options) -> Result<(), String> {
     } else {
         let ir = String::from_utf8(raw)
             .map_err(|_| "input is neither module bytecode nor UTF-8 text".to_string())?;
-        irdl_ir::parse::parse_module_chunked(&mut ctx, &ir, opts.intra_jobs)
-            .map_err(|d| d.render(&ir))?
+        irdl_ir::parse::parse_module(&mut ctx, &ir).map_err(|d| d.render(&ir))?
     };
     timings.parse = start.elapsed().as_nanos() as u64;
 
