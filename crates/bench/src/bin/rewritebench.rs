@@ -29,10 +29,9 @@
 //! cargo run -p irdl-bench --bin rewritebench --release [-- --quick]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::time::Instant;
 
-use irdl_bench::{mul_chain_module, showcase_context};
+use irdl_bench::{allocs, mul_chain_module, showcase_context, CountingAlloc};
 use irdl_ir::print::op_to_string;
 use irdl_ir::{Context, OpName, OperationState, OpRef};
 use irdl_rewrite::{
@@ -54,38 +53,8 @@ const REQUIRED_SPEEDUP: f64 = 5.0;
 /// copy of the worklist or journal would blow straight past it.
 const MAX_INCR_ALLOCS_PER_REWRITE: f64 = 32.0;
 
-// ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request so a measured drive can report how many
-/// times it hit the heap. Deallocations are not interesting here.
-struct CountingAlloc;
-
-static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(std::sync::atomic::Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Workload

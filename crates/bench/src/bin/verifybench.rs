@@ -21,49 +21,18 @@
 //! cargo run -p irdl-bench --bin verifybench --release [-- --quick]
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use irdl::genir::{instantiate_op, Instantiation};
+use irdl_bench::{allocs, CountingAlloc};
 use irdl::program::{EvalScratch, OpProgram};
 use irdl::verifier::CompiledOp;
 use irdl_ir::{Context, OpRef, OpVerifier};
 
-// ---------------------------------------------------------------------------
-// Allocation accounting
-// ---------------------------------------------------------------------------
-
-/// Counts every allocation request so a measured pass can report how many
-/// times it hit the heap. Deallocations are not interesting here.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Workloads

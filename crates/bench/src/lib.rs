@@ -1,6 +1,39 @@
-//! Shared workload builders for the benchmark harness.
+//! Shared workload builders and allocation accounting for the benchmark
+//! harness.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use irdl_ir::{Context, OpRef, OperationState};
+
+/// Counts every allocation request so a measured pass can report how many
+/// times it hit the heap. Deallocations are not interesting here. A bench
+/// binary installs it with `#[global_allocator]` and reads [`allocs`].
+pub struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Allocation requests counted so far by [`CountingAlloc`] (always 0 in a
+/// binary that did not install it).
+pub fn allocs() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
 
 /// A fresh context with the 28-dialect corpus registered; returns the
 /// corpus dialect names alongside.

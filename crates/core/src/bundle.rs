@@ -22,7 +22,7 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::Context;
@@ -35,11 +35,13 @@ use crate::parser::parse_irdl;
 /// An immutable, thread-shareable set of compiled dialects.
 ///
 /// Internally this is a sealed template [`Context`] holding the compiled
-/// registry. `Context` is `Sync` (its verdict cache is sharded and its
-/// counters atomic), so the template is held bare and [`instantiate`]
-/// (`DialectBundle::instantiate`) clones it without taking any lock.
+/// registry. `Context` is `Send` but not `Sync` (its verdict cache is a
+/// plain interior-mutable map), so the template sits behind a `Mutex`;
+/// [`instantiate`](DialectBundle::instantiate) and
+/// [`save`](DialectBundle::save) lock it once per call, which keeps the
+/// bundle itself `Send + Sync`.
 pub struct DialectBundle {
-    template: Context,
+    template: Mutex<Context>,
     names: Vec<String>,
     /// The serializable description of every compiled dialect, retained by
     /// [`DialectBundle::compile`] and [`DialectBundle::load`] so the
@@ -85,7 +87,7 @@ impl DialectBundle {
             }
         }
         Ok(DialectBundle {
-            template: ctx,
+            template: Mutex::new(ctx),
             names,
             recipes,
             artifacts: RwLock::new(HashMap::new()),
@@ -100,7 +102,7 @@ impl DialectBundle {
     /// (modules, ops) present in it will be cloned into every instance.
     pub fn capture(ctx: Context, names: Vec<String>) -> Self {
         DialectBundle {
-            template: ctx,
+            template: Mutex::new(ctx),
             names,
             recipes: Vec::new(),
             artifacts: RwLock::new(HashMap::new()),
@@ -129,7 +131,7 @@ impl DialectBundle {
                  serializable recipes (use DialectBundle::compile)",
             ));
         }
-        Ok(encode_bundle(&self.template, &self.recipes))
+        Ok(encode_bundle(&self.template(), &self.recipes))
     }
 
     /// [`DialectBundle::save`] straight to a file.
@@ -161,7 +163,7 @@ impl DialectBundle {
             names.push(recipe.name.clone());
         }
         Ok(DialectBundle {
-            template: ctx,
+            template: Mutex::new(ctx),
             names,
             recipes,
             artifacts: RwLock::new(HashMap::new()),
@@ -193,7 +195,11 @@ impl DialectBundle {
     /// verdict cache arrives warm. The instance is fully independent
     /// afterwards — interning, IR building, and cache growth are private.
     pub fn instantiate(&self) -> Context {
-        self.template.clone()
+        self.template().clone()
+    }
+
+    fn template(&self) -> MutexGuard<'_, Context> {
+        self.template.lock().expect("bundle template lock poisoned")
     }
 
     /// The names of the dialects compiled into this bundle.

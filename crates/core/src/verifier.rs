@@ -5,8 +5,6 @@
 //! hand-written C++ verifier of Listing 2 is derivable from the declarative
 //! specification of Listing 3.
 
-use std::sync::Arc;
-
 use irdl_ir::diag::{Diagnostic, Result};
 use irdl_ir::{Attribute, Context, OpName, OpRef, Symbol};
 
@@ -270,15 +268,6 @@ impl CompiledOp {
     }
 }
 
-/// Adapter: [`CompiledOp`] as an [`irdl_ir::OpVerifier`].
-pub struct CompiledOpVerifier(pub Arc<CompiledOp>);
-
-impl irdl_ir::OpVerifier for CompiledOpVerifier {
-    fn verify(&self, ctx: &Context, op: OpRef) -> Result<()> {
-        self.0.verify(ctx, op)
-    }
-}
-
 /// A compiled type/attribute definition: parameter constraints plus an
 /// optional native verifier.
 pub struct CompiledParams {
@@ -325,15 +314,6 @@ impl CompiledParams {
             native(ctx, params)?;
         }
         Ok(())
-    }
-}
-
-/// Adapter: [`CompiledParams`] as an [`irdl_ir::ParamsVerifier`].
-pub struct CompiledParamsVerifier(pub Arc<CompiledParams>);
-
-impl irdl_ir::ParamsVerifier for CompiledParamsVerifier {
-    fn verify(&self, ctx: &Context, params: &[Attribute]) -> Result<()> {
-        self.0.verify(ctx, params)
     }
 }
 

@@ -10,11 +10,11 @@
 //! Unlike [`irdl::genir::instantiate_op`] (one deterministic witness per
 //! definition, bare terminators), this generator emits *fully valid*
 //! modules: required region terminators are themselves instantiated from
-//! their compiled definitions, so the hook-running [`verify_module`] —
+//! their compiled definitions, so the hook-running [`verify_op`] —
 //! not just the structural walk — accepts every generated module. That is
 //! the precondition the differential oracles build on.
 //!
-//! [`verify_module`]: irdl_ir::verify::verify_module
+//! [`verify_op`]: irdl_ir::verify::verify_op
 
 use irdl::constraint::{BindingEnv, CVal};
 use irdl::genir::sample;

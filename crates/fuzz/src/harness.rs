@@ -22,7 +22,7 @@ use crate::genspec::generate_spec;
 use crate::mutate::mutate_text;
 use crate::oracle::{
     check_bytecode, check_cache, check_drive, check_fixpoint, check_incremental, check_jobs,
-    check_matcher, check_parallel_verify, check_translation_validation, OracleFailure,
+    check_matcher, check_translation_validation, OracleFailure,
 };
 use crate::rng::SplitMix64;
 
@@ -226,7 +226,6 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
             check_cache(&iter_target.bundle, &text),
             check_drive(&iter_target.bundle, &text),
             check_bytecode(&iter_target.bundle, &text),
-            check_parallel_verify(&iter_target.bundle, &text),
             check_translation_validation(&iter_target.bundle, &text, input_seed),
         ];
         for check in checks {
@@ -296,17 +295,6 @@ pub fn run_fuzz_on(target: &FuzzTarget, opts: &FuzzOptions) -> Result<FuzzReport
             if let Err(failure) = check_bytecode(&iter_target.bundle, &mutant) {
                 let _ =
                     writeln!(report.log, "iter {iter}: bytecode oracle diverged on a mutant");
-                report.failures.push(failure);
-                break 'iterations;
-            }
-            // And verify identically under the parallel verifier —
-            // mutants are where malformed placements and broken dominance
-            // actually reach the planner.
-            if let Err(failure) = check_parallel_verify(&iter_target.bundle, &mutant) {
-                let _ = writeln!(
-                    report.log,
-                    "iter {iter}: parallel-verify oracle diverged on a mutant"
-                );
                 report.failures.push(failure);
                 break 'iterations;
             }

@@ -38,8 +38,8 @@ pub use genspec::generate_spec;
 pub use harness::{run_fuzz, run_fuzz_on, FuzzOptions, FuzzReport, FuzzTarget};
 pub use mutate::{mutate_structured, mutate_text, MutationPolicy};
 pub use oracle::{
-    check_matcher, check_parallel_verify, check_translation_validation, oracle_patterns,
-    replay_all, tv_patterns, OracleFailure, OraclePatterns, TvPatterns,
+    check_matcher, check_translation_validation, oracle_patterns, replay_all, tv_patterns,
+    OracleFailure, OraclePatterns, TvPatterns,
 };
 pub use reduce::reduce;
 pub use regression::{load_case, write_regression, RegressionCase};

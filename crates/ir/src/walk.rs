@@ -71,9 +71,9 @@ pub fn walk_block(
 /// Counts the operations nested in (and including) `root`, stopping as
 /// soon as the count reaches `cap`.
 ///
-/// The parallel verifier's partitioner uses this to classify subtrees as
-/// "small enough to verify inline" without paying a full walk of large
-/// ones: a call costs at most `cap` visits regardless of subtree size.
+/// A call costs at most `cap` visits regardless of subtree size, so it
+/// can classify a subtree as small without walking a large one in full;
+/// `usize::MAX` gives the exact count.
 pub fn count_ops_capped(ctx: &Context, root: OpRef, cap: usize) -> usize {
     let mut count = 0;
     walk_ops(ctx, root, &mut |_, _| {

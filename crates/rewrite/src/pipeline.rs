@@ -48,12 +48,6 @@ pub struct PipelineOptions {
     pub matcher: MatcherMode,
     /// Print results in the generic form.
     pub generic: bool,
-    /// Threads used *inside* one module (clamped to at least 1) to verify
-    /// it in parallel. Orthogonal to `jobs`, which fans out *across*
-    /// modules. Parallel verification is byte-identical to the sequential
-    /// walk and falls back to it on small modules, so `intra_jobs > 1` is
-    /// always safe.
-    pub intra_jobs: usize,
 }
 
 impl Default for PipelineOptions {
@@ -64,7 +58,6 @@ impl Default for PipelineOptions {
             check: CheckLevel::Off,
             matcher: MatcherMode::Auto,
             generic: false,
-            intra_jobs: 1,
         }
     }
 }
@@ -277,7 +270,6 @@ fn process_module(
     opts: &PipelineOptions,
 ) -> Result<ModuleResult, String> {
     let mut timings = StageNanos::default();
-    let intra_jobs = opts.intra_jobs.max(1);
 
     let start = Instant::now();
     let module = match input {
@@ -295,7 +287,7 @@ fn process_module(
     let result = (|| {
         if opts.verify {
             let start = Instant::now();
-            let checked = verifier.verify_parallel(ctx, module, intra_jobs);
+            let checked = verifier.verify(ctx, module);
             timings.verify += start.elapsed().as_nanos() as u64;
             checked.map_err(|errs| {
                 errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
@@ -319,7 +311,7 @@ fn process_module(
                     rewrites = stats.rewrites;
                     if opts.verify {
                         let start = Instant::now();
-                        let checked = verifier.verify_parallel(ctx, module, intra_jobs);
+                        let checked = verifier.verify(ctx, module);
                         timings.verify += start.elapsed().as_nanos() as u64;
                         checked.map_err(|errs| {
                             format!("IR invalid after rewriting: {}", errs[0])
@@ -551,33 +543,6 @@ Pattern add_to_double {
         assert_eq!(report.errors(), 1);
         assert!(report.results[0].is_ok());
         assert!(report.results[1].as_ref().unwrap_err().contains("magic"));
-    }
-
-    /// `intra_jobs > 1` (parallel verification) must produce outputs
-    /// byte-identical to the sequential run, including on a module large
-    /// enough to actually take the threaded path.
-    #[test]
-    fn intra_jobs_is_byte_identical() {
-        let (bundle, patterns) = toy_setup();
-        let mut big = String::new();
-        for j in 0..3000 {
-            big.push_str(&format!("%x{j} = \"toy.source\"() : () -> i32\n"));
-            big.push_str(&format!("%r{j} = \"toy.add\"(%x{j}, %x{j}) : (i32, i32) -> i32\n"));
-        }
-        let mut inputs = toy_inputs(3);
-        inputs.push(big);
-        let baseline = run_batch(&bundle, &patterns, &inputs, &PipelineOptions::default());
-        for intra_jobs in [2, 8] {
-            let opts = PipelineOptions { intra_jobs, ..Default::default() };
-            let threaded = run_batch(&bundle, &patterns, &inputs, &opts);
-            assert_eq!(threaded.errors(), 0);
-            for (i, (b, t)) in baseline.results.iter().zip(&threaded.results).enumerate() {
-                let b = b.as_ref().unwrap();
-                let t = t.as_ref().unwrap();
-                assert_eq!(b.output, t.output, "input {i} (intra_jobs={intra_jobs})");
-                assert_eq!(b.rewrites, t.rewrites);
-            }
-        }
     }
 
     #[test]

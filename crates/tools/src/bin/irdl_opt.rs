@@ -31,9 +31,6 @@
 //! - `--emit=F`          output format: `text` (the default) or
 //!   `bytecode` (the `IRBC` binary module format, single input only)
 //! - `--jobs <n>`        process inputs on `n` worker threads
-//! - `--intra-jobs <n>`  threads *inside* each module for parallel
-//!   verification (byte-identical to sequential; orthogonal to `--jobs`,
-//!   which fans out across modules)
 //! - `--timings`         report per-stage wall-clock times
 //!   (parse/verify/rewrite/print) on stderr, per input
 //! - `<file>...`         the IR inputs (defaults to stdin)
@@ -77,7 +74,6 @@ struct Options {
     generic: bool,
     emit: Emit,
     jobs: usize,
-    intra_jobs: usize,
     timings: bool,
     fold: bool,
     interp: bool,
@@ -97,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
         generic: false,
         emit: Emit::Text,
         jobs: 1,
-        intra_jobs: 1,
         timings: false,
         fold: false,
         interp: false,
@@ -119,13 +114,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.jobs = n
                     .parse::<usize>()
                     .map_err(|_| format!("invalid --jobs value `{n}`"))?
-                    .max(1);
-            }
-            "--intra-jobs" => {
-                let n = args.next().ok_or("--intra-jobs needs a number argument")?;
-                opts.intra_jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --intra-jobs value `{n}`"))?
                     .max(1);
             }
             "--timings" => opts.timings = true,
@@ -182,7 +170,7 @@ fn parse_args() -> Result<Options, String> {
                      [--verify-each={{full,incr,off}}] [--matcher={{auto,scan}}] \
                      [--fold] [--interp] [--seed N] \
                      [--generic] [--emit={{text,bytecode}}] [--jobs N] \
-                     [--intra-jobs N] [--timings] [IR-FILE]..."
+                     [--timings] [IR-FILE]..."
                 );
                 std::process::exit(0);
             }
@@ -267,7 +255,6 @@ fn run(opts: Options) -> Result<(), String> {
             check: opts.check,
             generic: opts.generic,
             matcher: opts.matcher,
-            intra_jobs: opts.intra_jobs,
         };
         let report = run_batch_inputs(&bundle, &patterns, &sources, &pipeline_opts);
         if opts.timings {
@@ -334,7 +321,7 @@ fn run(opts: Options) -> Result<(), String> {
     let mut verifier = ModuleVerifier::new();
     if opts.verify {
         let start = std::time::Instant::now();
-        let checked = verifier.verify_parallel(&ctx, module, opts.intra_jobs);
+        let checked = verifier.verify(&ctx, module);
         timings.verify += start.elapsed().as_nanos() as u64;
         checked.map_err(|errs| {
             errs.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
@@ -350,7 +337,7 @@ fn run(opts: Options) -> Result<(), String> {
         eprintln!("applied {} rewrite(s)", stats.rewrites);
         if opts.verify && opts.check == CheckLevel::Off {
             let start = std::time::Instant::now();
-            let checked = verifier.verify_parallel(&ctx, module, opts.intra_jobs);
+            let checked = verifier.verify(&ctx, module);
             timings.verify += start.elapsed().as_nanos() as u64;
             checked
                 .map_err(|errs| format!("IR invalid after rewriting: {}", errs[0]))?;
