@@ -28,7 +28,7 @@
 //! 7. **bytecode** — encode → decode into a fresh bundle instance must
 //!    reproduce the module: the decoded module prints byte-identically to
 //!    the original (text and bytecode are interchangeable surfaces for
-//!    the same IR).
+//!    the same IR), and re-encoding it gives back the same bytes.
 //! 8. **translation-validation** — the module is *executed* (the
 //!    `irdl-interp` register machine, seeded random well-typed inputs)
 //!    before and after a greedy drive of the semantics-preserving TV
@@ -416,13 +416,14 @@ pub fn check_matcher(
     Ok(())
 }
 
-/// Oracle 7: bytecode round-trip is print-byte-identical.
+/// Oracle 7: bytecode round-trip is print-byte-identical, and re-encoding
+/// is the identity.
 ///
 /// Inputs the parser rejects pass vacuously (the fixpoint oracle checks
 /// rejections). Accepted inputs must encode, the bytes must decode into a *fresh*
 /// bundle instance (the load path a distributed pipeline would take), and
 /// the decoded module must print exactly the original's printed form —
-/// both pretty and generic.
+/// both pretty and generic — and encode back to the very same bytes.
 pub fn check_bytecode(bundle: &DialectBundle, text: &str) -> Result<(), OracleFailure> {
     let mut ctx = bundle.instantiate();
     let Some(module) = parse_in(&mut ctx, text) else { return Ok(()) };
@@ -456,6 +457,23 @@ pub fn check_bytecode(bundle: &DialectBundle, text: &str) -> Result<(), OracleFa
             "bytecode",
             format!(
                 "decoded module prints differently (generic):\noriginal:\n{generic}\ndecoded:\n{generic2}"
+            ),
+            text,
+        ));
+    }
+    let bytes2 = encode_module(&ctx2, decoded).map_err(|e| {
+        OracleFailure::new("bytecode", format!("decoded module does not encode: {e}"), text)
+    })?;
+    if bytes2 != bytes {
+        let at = bytes.iter().zip(&bytes2).position(|(a, b)| a != b);
+        return Err(OracleFailure::new(
+            "bytecode",
+            format!(
+                "re-encoding the decoded module changes the bytes ({} -> {} bytes, first \
+                 difference at byte {}):\n{printed}",
+                bytes.len(),
+                bytes2.len(),
+                at.unwrap_or(bytes.len().min(bytes2.len())),
             ),
             text,
         ));

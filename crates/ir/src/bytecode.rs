@@ -54,6 +54,8 @@ use crate::attrs::{AttrData, Attribute};
 use crate::block::BlockRef;
 use crate::context::Context;
 use crate::diag::{Diagnostic, Result};
+use crate::entity::SlotTables;
+use crate::fasthash::FastMap;
 use crate::op::{OpName, OpRef, OperationState};
 use crate::symbol::Symbol;
 use crate::types::{FloatKind, Signedness, Type, TypeData};
@@ -374,17 +376,22 @@ fn signedness_from(tag: u8) -> Option<Signedness> {
 /// Pool entries are emitted children-first, so every entry references only
 /// strings and strictly earlier entries — the invariant that lets the
 /// decoder materialize the pool in one forward pass.
+///
+/// Symbols, types and attributes are looked up by their interned index,
+/// so encoding an op hashes no string.
 #[derive(Default)]
 pub struct Pool {
     strings: Vec<String>,
     string_ids: HashMap<String, u32>,
+    /// String id of every symbol seen so far.
+    symbol_ids: FastMap<Symbol, u32>,
     /// `(symbol index in the encoding context, string id)` for every
     /// symbol-backed string: emitted sorted so the decoder re-interns
     /// symbols in the encoder's relative order.
     symbol_order: Vec<(u32, u32)>,
     entries: Vec<Vec<u8>>,
-    type_ids: HashMap<Type, u32>,
-    attr_ids: HashMap<Attribute, u32>,
+    type_ids: FastMap<Type, u32>,
+    attr_ids: FastMap<Attribute, u32>,
 }
 
 impl Pool {
@@ -405,13 +412,23 @@ impl Pool {
     }
 
     /// Interns the string behind `sym`, recording its intern order.
+    ///
+    /// A string already in the table (say, from a string attribute) keeps
+    /// its id and records no intern order.
     pub fn symbol_id(&mut self, ctx: &Context, sym: Symbol) -> u32 {
-        let s = ctx.symbol_str(sym);
-        if let Some(&id) = self.string_ids.get(s) {
+        if let Some(&id) = self.symbol_ids.get(&sym) {
             return id;
         }
-        let id = self.str_id(s);
-        self.symbol_order.push((sym.index() as u32, id));
+        let s = ctx.symbol_str(sym);
+        let id = match self.string_ids.get(s) {
+            Some(&id) => id,
+            None => {
+                let id = self.str_id(s);
+                self.symbol_order.push((sym.index() as u32, id));
+                id
+            }
+        };
+        self.symbol_ids.insert(sym, id);
         id
     }
 
@@ -858,114 +875,170 @@ impl<'a> DecodedPool<'a> {
 // Module encoding
 // ---------------------------------------------------------------------------
 
+/// Encodes one module in a single pass over its ops.
+///
+/// Value ids come from dense slot tables, not a hash map: an op slot maps
+/// to the id of its first result and a block slot to the id of its first
+/// argument, so a value's id is that base plus its index. A third table
+/// maps each block slot to its position in its region, for successors.
+///
+/// Every region body is written into the one `body` buffer without its
+/// length prefix. `frames` records, in pre-order, where each prefix goes
+/// and the framed length it will carry; [`ModuleEncoder::finish`] splices
+/// the prefixes in while copying the body out once, so no region is
+/// copied into its parent.
 struct ModuleEncoder<'c> {
     ctx: &'c Context,
     pool: Pool,
-    /// Dense value numbering in definition order.
-    value_ids: HashMap<Value, u32>,
+    slots: SlotTables,
+    next_value: u32,
+    body: ByteWriter,
+    /// `(body offset, framed length)` per region, in pre-order.
+    frames: Vec<(usize, usize)>,
+    /// `(body offset, prefix bytes of the regions closed inside it)` per
+    /// open region, innermost last; the bottom entry is the whole body.
+    open: Vec<(usize, usize)>,
+}
+
+/// Bytes of `value`'s LEB128 encoding.
+fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 impl<'c> ModuleEncoder<'c> {
-    fn value_id(&self, w: &ByteWriter, value: Value) -> Result<u32> {
-        self.value_ids.get(&value).copied().ok_or_else(|| {
+    fn value_id(&self, value: Value) -> Result<u32> {
+        let ctx = self.ctx;
+        let id = match value {
+            Value::OpResult { op, index } => self
+                .slots
+                .ops
+                .get(op.index())
+                .filter(|_| (index as usize) < op.num_results(ctx))
+                .map(|base| base + index),
+            Value::BlockArg { block, index } => self
+                .slots
+                .block_args
+                .get(block.index())
+                .filter(|_| (index as usize) < block.num_args(ctx))
+                .map(|base| base + index),
+        };
+        id.ok_or_else(|| {
+            // The offset is within the innermost region's framed payload.
+            let (start, nested) = self.open.last().expect("body frame is open");
             Diagnostic::new(format!(
                 "bytecode: operand uses a value before its definition (at byte {})",
-                w.len()
+                self.body.len() - start + nested
             ))
         })
     }
 
-    fn encode_op(
-        &mut self,
-        w: &mut ByteWriter,
-        op: OpRef,
-        blocks: &HashMap<BlockRef, u32>,
-    ) -> Result<()> {
+    /// Encodes `op`, whose enclosing region holds `blocks` (empty for the
+    /// root).
+    fn encode_op(&mut self, op: OpRef, blocks: &[BlockRef]) -> Result<()> {
         let ctx = self.ctx;
-        let name = op.name(ctx);
-        let (d, n) = self.pool.op_name_ids(ctx, name);
-        w.varint(u64::from(d));
-        w.varint(u64::from(n));
+        let data = ctx.op_data(op);
+        let (d, n) = self.pool.op_name_ids(ctx, data.name);
+        self.body.varint(u64::from(d));
+        self.body.varint(u64::from(n));
 
-        let operands = op.operands(ctx).to_vec();
-        w.varint(operands.len() as u64);
-        for operand in operands {
-            let id = self.value_id(w, operand)?;
-            w.varint(u64::from(id));
+        self.body.varint(data.operands.len() as u64);
+        for &operand in data.operands.iter() {
+            let id = self.value_id(operand)?;
+            self.body.varint(u64::from(id));
         }
 
-        let result_types = op.result_types(ctx).to_vec();
-        w.varint(result_types.len() as u64);
-        for ty in result_types {
+        self.body.varint(data.result_types.len() as u64);
+        for &ty in data.result_types.iter() {
             let id = self.pool.type_id(ctx, ty);
-            w.varint(u64::from(id));
+            self.body.varint(u64::from(id));
         }
 
-        let attributes = op.attributes(ctx).to_vec();
-        w.varint(attributes.len() as u64);
-        for (key, value) in attributes {
+        self.body.varint(data.attributes.len() as u64);
+        for &(key, value) in data.attributes.iter() {
             let k = self.pool.symbol_id(ctx, key);
             let v = self.pool.attr_id(ctx, value);
-            w.varint(u64::from(k));
-            w.varint(u64::from(v));
+            self.body.varint(u64::from(k));
+            self.body.varint(u64::from(v));
         }
 
-        let successors = op.successors(ctx).to_vec();
-        w.varint(successors.len() as u64);
-        for successor in successors {
-            let Some(&index) = blocks.get(&successor) else {
+        self.body.varint(data.successors.len() as u64);
+        for &successor in data.successors.iter() {
+            let index = self.slots.blocks.get(successor.index());
+            let Some(index) = index.filter(|&i| blocks.get(i as usize) == Some(&successor)) else {
                 return Err(Diagnostic::new(
                     "bytecode: successor references a block outside the enclosing region",
                 ));
             };
-            w.varint(u64::from(index));
+            self.body.varint(u64::from(index));
         }
 
-        let regions = op.regions(ctx).to_vec();
-        w.varint(regions.len() as u64);
-        for region in regions {
-            let mut body = ByteWriter::new();
-            self.encode_region(&mut body, region)?;
-            w.varint(body.len() as u64);
-            w.bytes(&body.into_vec());
+        self.body.varint(data.regions.len() as u64);
+        for &region in data.regions.iter() {
+            self.encode_region(region)?;
         }
 
         // Results are numbered after the regions, mirroring the text
         // parser (a region body cannot reference its enclosing op's
         // results).
-        for (index, value) in op.results(ctx).enumerate() {
-            let id = self.value_ids.len() as u32;
-            debug_assert!(matches!(value, Value::OpResult { index: i, .. } if i as usize == index));
-            self.value_ids.insert(value, id);
-        }
+        self.slots.ops.set(op.index(), self.next_value);
+        self.next_value += data.result_types.len() as u32;
         Ok(())
     }
 
-    fn encode_region(&mut self, w: &mut ByteWriter, region: crate::RegionRef) -> Result<()> {
+    fn encode_region(&mut self, region: crate::RegionRef) -> Result<()> {
         let ctx = self.ctx;
-        let block_list = ctx.region_data(region).blocks.clone();
-        let mut blocks = HashMap::with_capacity(block_list.len());
-        w.varint(block_list.len() as u64);
-        for (index, &block) in block_list.iter().enumerate() {
-            blocks.insert(block, index as u32);
-            let args = ctx.block_data(block).arg_types.clone();
-            w.varint(args.len() as u64);
-            for (arg_index, ty) in args.into_iter().enumerate() {
+        let frame = self.frames.len();
+        self.frames.push((self.body.len(), 0));
+        self.open.push((self.body.len(), 0));
+
+        let blocks = region.blocks(ctx);
+        self.body.varint(blocks.len() as u64);
+        for (index, &block) in blocks.iter().enumerate() {
+            self.slots.blocks.set(block.index(), index as u32);
+            self.slots.block_args.set(block.index(), self.next_value);
+            let args = &ctx.block_data(block).arg_types;
+            self.body.varint(args.len() as u64);
+            for &ty in args {
                 let id = self.pool.type_id(ctx, ty);
-                w.varint(u64::from(id));
-                let value = Value::BlockArg { block, index: arg_index as u32 };
-                let vid = self.value_ids.len() as u32;
-                self.value_ids.insert(value, vid);
+                self.body.varint(u64::from(id));
+            }
+            self.next_value += args.len() as u32;
+        }
+        for &block in blocks {
+            let ops = block.ops(ctx);
+            self.body.varint(ops.len() as u64);
+            for &op in ops {
+                self.encode_op(op, blocks)?;
             }
         }
-        for &block in &block_list {
-            let ops = ctx.block_data(block).ops.clone();
-            w.varint(ops.len() as u64);
-            for op in ops {
-                self.encode_op(w, op, &blocks)?;
-            }
-        }
+
+        let (start, nested) = self.open.pop().expect("region frame is open");
+        let framed = self.body.len() - start + nested;
+        self.frames[frame].1 = framed;
+        self.open.last_mut().expect("body frame is open").1 += varint_len(framed as u64) + nested;
         Ok(())
+    }
+
+    /// Writes the module file: header, strings, pool, then the ops section
+    /// with every region length spliced into the body as it is copied.
+    fn finish(&mut self) -> Vec<u8> {
+        let body = std::mem::take(&mut self.body).into_vec();
+        let framed = body.len() + self.open[0].1;
+        let mut out = ByteWriter::new();
+        out.bytes(&MODULE_MAGIC);
+        out.u8(VERSION);
+        self.pool.emit_sections(&mut out);
+        out.buf.reserve_exact(1 + varint_len(framed as u64) + framed);
+        out.u8(SECTION_OPS);
+        out.varint(framed as u64);
+        let mut copied = 0;
+        for &(start, len) in &self.frames {
+            out.bytes(&body[copied..start]);
+            out.varint(len as u64);
+            copied = start;
+        }
+        out.bytes(&body[copied..]);
+        out.into_vec()
     }
 }
 
@@ -977,16 +1050,18 @@ impl<'c> ModuleEncoder<'c> {
 /// before its definition in structural order, or a successor outside its
 /// enclosing region (both are un-printable IR as well).
 pub fn encode_module(ctx: &Context, module: OpRef) -> Result<Vec<u8>> {
-    let mut enc = ModuleEncoder { ctx, pool: Pool::new(), value_ids: HashMap::new() };
-    let mut body = ByteWriter::new();
-    enc.encode_op(&mut body, module, &HashMap::new())?;
-
-    let mut out = ByteWriter::new();
-    out.bytes(&MODULE_MAGIC);
-    out.u8(VERSION);
-    enc.pool.emit_sections(&mut out);
-    out.section(SECTION_OPS, &body);
-    Ok(out.into_vec())
+    let mut enc = ModuleEncoder {
+        ctx,
+        pool: Pool::new(),
+        slots: SlotTables::take_parked(),
+        next_value: 0,
+        body: ByteWriter::new(),
+        frames: Vec::new(),
+        open: vec![(0, 0)],
+    };
+    let bytes = enc.encode_op(module, &[]).map(|()| enc.finish());
+    enc.slots.park();
+    bytes
 }
 
 // ---------------------------------------------------------------------------
@@ -1208,6 +1283,65 @@ mod tests {
         let mut ctx2 = Context::new();
         let module2 = decode_module(&mut ctx2, &bytes).unwrap();
         assert_eq!(op_to_string(&ctx2, module2), printed);
+    }
+
+    /// Value ids from an earlier encode must not leak into the next: an
+    /// operand defined outside the encoded tree is still diagnosed after
+    /// its defining op (or block) was numbered by a previous call.
+    #[test]
+    fn stale_numbering_does_not_hide_outside_definitions() {
+        let mut ctx = Context::new();
+        let outer = sample_module(&mut ctx);
+        encode_module(&ctx, outer).unwrap();
+        let def = ctx.module_block(outer).ops(&ctx)[0];
+
+        let inner = ctx.create_module();
+        let use_name = ctx.op_name("test", "use");
+        let user = ctx.create_op(OperationState::new(use_name).add_operands([def.result(&ctx, 0)]));
+        let inner_block = ctx.module_block(inner);
+        ctx.append_op(inner_block, user);
+        let err = encode_module(&ctx, inner).unwrap_err();
+        assert!(err.message().contains("before its definition"), "{err}");
+
+        // The same for a block argument numbered by the earlier encode.
+        let f32 = ctx.f32_type();
+        let (region, entry) = ctx.create_region_with_entry([f32]);
+        let wrap_name = ctx.op_name("test", "wrap");
+        let wrap = ctx.create_op(OperationState::new(wrap_name).add_regions([region]));
+        encode_module(&ctx, wrap).unwrap();
+        let arg = entry.arg(&ctx, 0);
+        let other = ctx.create_module();
+        let arg_user = ctx.create_op(OperationState::new(use_name).add_operands([arg]));
+        let other_block = ctx.module_block(other);
+        ctx.append_op(other_block, arg_user);
+        let err = encode_module(&ctx, other).unwrap_err();
+        assert!(err.message().contains("before its definition"), "{err}");
+    }
+
+    #[test]
+    fn successor_outside_the_enclosing_region_is_diagnosed() {
+        let mut ctx = Context::new();
+        let module = ctx.create_module();
+        let top = ctx.module_block(module);
+        let (region, _) = ctx.create_region_with_entry([]);
+        let wrap_name = ctx.op_name("test", "wrap");
+        let wrap = ctx.create_op(OperationState::new(wrap_name).add_regions([region]));
+        ctx.append_op(top, wrap);
+        let inner = region.blocks(&ctx)[0];
+        let br_name = ctx.op_name("test", "br");
+        let br = ctx.create_op(OperationState::new(br_name).add_successors([top]));
+        ctx.append_op(inner, br);
+        let err = encode_module(&ctx, module).unwrap_err();
+        assert!(err.message().contains("outside the enclosing region"), "{err}");
+    }
+
+    #[test]
+    fn varint_len_matches_the_writer() {
+        for value in [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX] {
+            let mut w = ByteWriter::new();
+            w.varint(value);
+            assert_eq!(varint_len(value), w.len(), "{value}");
+        }
     }
 
     #[test]

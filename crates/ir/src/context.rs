@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use crate::attrs::{AttrData, Attribute};
 use crate::block::{BlockData, BlockRef};
 use crate::dialect::DialectRegistry;
-use crate::entity::{EntityArena, UniqueArena};
+use crate::entity::{EntityArena, SlotIds, UniqueArena};
 use crate::fasthash::FastMap;
 use crate::op::{OpRef, OperationData, OperationState, UseLink};
 use crate::region::{RegionData, RegionRef};
@@ -84,12 +84,10 @@ pub(crate) struct EraseScratch {
     pub(crate) ops: Vec<OpRef>,
     pub(crate) blocks: Vec<BlockRef>,
     pub(crate) regions: Vec<RegionRef>,
-    /// Generation-stamped subtree membership, indexed by op arena slot:
-    /// slot `i` is in the current subtree iff `marks[i] == generation`.
-    /// Bumping the generation invalidates every mark in O(1), so the
-    /// buffer is never cleared and membership tests never hash.
-    pub(crate) marks: Vec<u64>,
-    pub(crate) generation: u64,
+    /// Subtree membership, keyed by op arena slot. Resetting the table
+    /// forgets every mark in O(1), so the buffer is never cleared and
+    /// membership tests never hash.
+    pub(crate) marks: SlotIds,
 }
 
 impl EraseScratch {
@@ -99,22 +97,17 @@ impl EraseScratch {
         self.regions.clear();
     }
 
-    /// Starts a new subtree: stamps `ops` under a fresh generation.
+    /// Starts a new subtree: marks exactly `ops`.
     pub(crate) fn mark_ops(&mut self) {
-        self.generation += 1;
-        if let Some(max) = self.ops.iter().map(|o| o.index()).max() {
-            if max >= self.marks.len() {
-                self.marks.resize(max + 1, 0);
-            }
-        }
+        self.marks.reset();
         for op in &self.ops {
-            self.marks[op.index()] = self.generation;
+            self.marks.set(op.index(), 0);
         }
     }
 
-    /// Whether `op` was stamped by the most recent [`Self::mark_ops`].
+    /// Whether `op` was marked by the most recent [`Self::mark_ops`].
     pub(crate) fn is_marked(&self, op: OpRef) -> bool {
-        self.marks.get(op.index()).copied() == Some(self.generation)
+        self.marks.get(op.index()).is_some()
     }
 }
 

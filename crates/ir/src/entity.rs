@@ -136,6 +136,98 @@ impl<T> EntityArena<T> {
     }
 }
 
+/// A dense map from arena slot index to `u32`, cleared in O(1).
+///
+/// Each entry packs the generation that wrote it above its value, so
+/// [`SlotIds::reset`] invalidates every entry by bumping the generation:
+/// the buffer is never cleared and lookups never hash. The module writers
+/// number ops and blocks with it, and `erase_op` marks subtree members.
+pub(crate) struct SlotIds {
+    /// `generation << 32 | value`; live iff the generation is current.
+    entries: Vec<u64>,
+    generation: u32,
+}
+
+impl Default for SlotIds {
+    fn default() -> Self {
+        // Fresh entries are zero, so generation 0 is never current.
+        SlotIds { entries: Vec::new(), generation: 1 }
+    }
+}
+
+impl std::fmt::Debug for SlotIds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotIds")
+            .field("slots", &self.entries.len())
+            .field("generation", &self.generation)
+            .finish()
+    }
+}
+
+impl SlotIds {
+    /// Forgets every entry.
+    pub(crate) fn reset(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.entries.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// The value stored for `slot` since the last reset.
+    #[inline]
+    pub(crate) fn get(&self, slot: usize) -> Option<u32> {
+        let entry = *self.entries.get(slot)?;
+        ((entry >> 32) as u32 == self.generation).then_some(entry as u32)
+    }
+
+    /// Stores `value` for `slot`, growing the table if needed.
+    #[inline]
+    pub(crate) fn set(&mut self, slot: usize, value: u32) {
+        if slot >= self.entries.len() {
+            self.entries.resize(slot + 1, 0);
+        }
+        self.entries[slot] = u64::from(self.generation) << 32 | u64::from(value);
+    }
+}
+
+/// The dense tables the module writers number ops and blocks with.
+///
+/// One set per thread is parked between calls (like the verifier's
+/// evaluation scratch), so printing or encoding a module reuses the
+/// tables' storage. A nested user finds the slot empty and starts with
+/// fresh, empty tables.
+#[derive(Debug, Default)]
+pub(crate) struct SlotTables {
+    pub(crate) ops: SlotIds,
+    pub(crate) blocks: SlotIds,
+    /// Second per-block column (the encoder's first block-argument id).
+    pub(crate) block_args: SlotIds,
+}
+
+thread_local! {
+    static PARKED_TABLES: std::cell::Cell<Option<SlotTables>> =
+        const { std::cell::Cell::new(None) };
+}
+
+impl SlotTables {
+    /// Takes the calling thread's parked tables, all reset.
+    pub(crate) fn take_parked() -> SlotTables {
+        let parked = PARKED_TABLES.try_with(std::cell::Cell::take).ok().flatten();
+        let mut tables = parked.unwrap_or_default();
+        tables.ops.reset();
+        tables.blocks.reset();
+        tables.block_args.reset();
+        tables
+    }
+
+    /// Parks `self` for the next [`SlotTables::take_parked`]. (During
+    /// thread teardown the slot is gone and the tables are dropped.)
+    pub(crate) fn park(self) {
+        let _ = PARKED_TABLES.try_with(|slot| slot.set(Some(self)));
+    }
+}
+
 /// An append-only uniquing table: equal values share one index.
 ///
 /// Used for structural interning of types and attributes; the `u32` index is
@@ -277,6 +369,46 @@ mod tests {
         // A hit must not rebuild the owned key.
         let hit = arena.intern_with("x", |_| panic!("hit path must not allocate"));
         assert_eq!(hit, a);
+    }
+
+    #[test]
+    fn slot_ids_reset_forgets_everything() {
+        let mut ids = SlotIds::default();
+        assert_eq!(ids.get(3), None);
+        ids.set(3, 7);
+        ids.set(0, 0);
+        assert_eq!((ids.get(3), ids.get(0), ids.get(1)), (Some(7), Some(0), None));
+        ids.reset();
+        assert_eq!((ids.get(3), ids.get(0)), (None, None));
+        ids.set(99, 1);
+        assert_eq!(ids.get(98), None);
+        assert_eq!(ids.get(99), Some(1));
+    }
+
+    #[test]
+    fn slot_ids_survive_generation_wraparound() {
+        let mut ids = SlotIds::default();
+        ids.set(2, 5);
+        ids.generation = u32::MAX;
+        ids.set(1, 9);
+        ids.reset();
+        assert_eq!(ids.generation, 1);
+        assert_eq!((ids.get(1), ids.get(2)), (None, None));
+    }
+
+    #[test]
+    fn parked_tables_go_to_one_user_at_a_time() {
+        let mut outer = SlotTables::take_parked();
+        outer.ops.set(4, 1);
+        // A nested user finds the slot empty and starts fresh.
+        let nested = SlotTables::take_parked();
+        assert_eq!(nested.ops.get(4), None);
+        nested.park();
+        outer.park();
+        let again = SlotTables::take_parked();
+        assert!(again.ops.entries.len() >= 5, "the outer tables were parked last");
+        assert_eq!(again.ops.get(4), None, "taking resets the tables");
+        again.park();
     }
 
     #[test]

@@ -15,20 +15,26 @@
 //! The printer writes into a caller-provided `String` and never builds
 //! intermediate per-token strings: SSA names and block labels are numeric
 //! ids rendered on the fly, escape-free string literals are copied in one
-//! `push_str`, and [`print_op_into`] with a reusable [`PrintScratch`]
-//! prints in a steady state of zero heap allocations per operation.
+//! `push_str`, indentation is copied in bulk, and [`print_op_into`] with a
+//! reusable [`PrintScratch`] prints in a steady state of zero heap
+//! allocations per operation.
+//!
+//! Names are looked up without hashing: an op's result group id and a
+//! block's label live in dense tables indexed by arena slot and cleared in
+//! O(1) per print. Only block arguments go through a small map.
 //!
 //! One divergence from MLIR: shaped-type dimension lists are spaced
 //! (`vector<4 x f32>` instead of `vector<4xf32>`), which keeps the lexer
 //! free of MLIR's dimension-list special case.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::attrs::{AttrData, Attribute};
 use crate::block::BlockRef;
 use crate::context::Context;
+use crate::entity::SlotTables;
+use crate::fasthash::FastMap;
 use crate::op::OpRef;
 use crate::region::RegionRef;
 use crate::types::{Type, TypeData};
@@ -43,22 +49,52 @@ use crate::value::Value;
 pub struct Printer<'w> {
     out: &'w mut String,
     indent: usize,
-    value_ids: HashMap<Value, u32>,
-    block_ids: HashMap<BlockRef, u32>,
+    names: Names,
     next_value: u32,
     next_block: u32,
     generic: bool,
 }
 
+/// The printer's naming tables: result-group ids by op slot and labels by
+/// block slot (see [`SlotTables`]), plus block-argument ids.
+#[derive(Debug, Default)]
+struct Names {
+    slots: SlotTables,
+    args: FastMap<Value, u32>,
+}
+
+impl Names {
+    /// Forgets every name, keeping the storage.
+    fn reset(&mut self) {
+        self.slots.ops.reset();
+        self.slots.blocks.reset();
+        if !self.args.is_empty() {
+            self.args.clear();
+        }
+    }
+}
+
+impl Drop for Names {
+    /// Parks the slot tables for the thread's next printer or encoder.
+    fn drop(&mut self) {
+        std::mem::take(&mut self.slots).park();
+    }
+}
+
 /// Reusable naming-table storage for [`print_op_into`].
 ///
-/// Holding one of these across calls lets the per-op hash maps keep their
+/// Holding one of these across calls lets the naming tables keep their
 /// capacity, so steady-state printing performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct PrintScratch {
-    value_ids: HashMap<Value, u32>,
-    block_ids: HashMap<BlockRef, u32>,
+    names: Names,
 }
+
+/// Spaces copied per `push_str` when indenting.
+const INDENT: &str = match std::str::from_utf8(&[b' '; 128]) {
+    Ok(spaces) => spaces,
+    Err(_) => unreachable!(),
+};
 
 impl<'w> Printer<'w> {
     /// Creates a printer appending to `out` with custom syntax enabled.
@@ -66,8 +102,7 @@ impl<'w> Printer<'w> {
         Printer {
             out,
             indent: 0,
-            value_ids: HashMap::new(),
-            block_ids: HashMap::new(),
+            names: Names { slots: SlotTables::take_parked(), args: FastMap::default() },
             next_value: 0,
             next_block: 0,
             generic: false,
@@ -87,54 +122,61 @@ impl<'w> Printer<'w> {
     /// Appends a newline followed by the current indentation.
     pub fn newline(&mut self) {
         self.out.push('\n');
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
+        let mut width = 2 * self.indent;
+        while width > INDENT.len() {
+            self.out.push_str(INDENT);
+            width -= INDENT.len();
         }
+        self.out.push_str(&INDENT[..width]);
     }
 
     /// Prints the SSA name of `value` (assigning one if needed).
     pub fn print_value(&mut self, ctx: &Context, value: Value) {
-        let id = self.value_id(ctx, value);
-        match value {
-            Value::OpResult { op, index } if op.num_results(ctx) > 1 => {
-                let _ = write!(self.out, "%{id}#{index}");
-            }
-            _ => {
-                let _ = write!(self.out, "%{id}");
+        let id = self.value_id(value);
+        self.out.push('%');
+        push_decimal(self.out, id);
+        if let Value::OpResult { op, index } = value {
+            if op.num_results(ctx) > 1 {
+                self.out.push('#');
+                push_decimal(self.out, index);
             }
         }
     }
 
     /// Returns the numeric id naming `value`, assigning the whole result
     /// group of the defining op (or the block arg) on first sight.
-    fn value_id(&mut self, ctx: &Context, value: Value) -> u32 {
-        if let Some(id) = self.value_ids.get(&value) {
-            return *id;
-        }
-        let id = self.next_value;
-        self.next_value += 1;
-        match value {
-            Value::OpResult { op, index } => {
-                let group = op.num_results(ctx).max(index as usize + 1);
-                for k in 0..group {
-                    self.value_ids.insert(Value::OpResult { op, index: k as u32 }, id);
-                }
+    fn value_id(&mut self, value: Value) -> u32 {
+        let next = self.next_value;
+        let id = match value {
+            Value::OpResult { op, .. } => {
+                let ops = &mut self.names.slots.ops;
+                ops.get(op.index()).unwrap_or_else(|| {
+                    ops.set(op.index(), next);
+                    next
+                })
             }
-            Value::BlockArg { .. } => {
-                self.value_ids.insert(value, id);
-            }
+            Value::BlockArg { .. } => *self.names.args.entry(value).or_insert(next),
+        };
+        if id == next {
+            self.next_value += 1;
         }
         id
     }
 
     /// Prints the label of `block` (assigning one if needed).
     pub fn print_block_name(&mut self, block: BlockRef) {
-        let id = *self.block_ids.entry(block).or_insert_with(|| {
-            let id = self.next_block;
-            self.next_block += 1;
-            id
-        });
-        let _ = write!(self.out, "^bb{id}");
+        let blocks = &mut self.names.slots.blocks;
+        let id = match blocks.get(block.index()) {
+            Some(id) => id,
+            None => {
+                let id = self.next_block;
+                self.next_block += 1;
+                blocks.set(block.index(), id);
+                id
+            }
+        };
+        self.out.push_str("^bb");
+        push_decimal(self.out, id);
     }
 
     /// Appends `s` as the body of a double-quoted literal, escaping as
@@ -161,7 +203,9 @@ impl<'w> Printer<'w> {
     pub fn print_type(&mut self, ctx: &Context, ty: Type) {
         match ctx.type_data(ty) {
             TypeData::Integer { width, signedness } => {
-                let _ = write!(self.out, "{}i{width}", signedness.prefix());
+                self.out.push_str(signedness.prefix());
+                self.out.push('i');
+                push_decimal(self.out, *width);
             }
             TypeData::Float(kind) => self.out.push_str(kind.keyword()),
             TypeData::Index => self.out.push_str("index"),
@@ -364,27 +408,24 @@ impl<'w> Printer<'w> {
     pub fn print_op(&mut self, ctx: &Context, op: OpRef) {
         let num_results = op.num_results(ctx);
         if num_results > 0 {
-            let id = self.value_id(ctx, op.result(ctx, 0));
+            let id = self.value_id(op.result(ctx, 0));
+            self.out.push('%');
+            push_decimal(self.out, id);
             if num_results > 1 {
-                let _ = write!(self.out, "%{id}:{num_results} = ");
-            } else {
-                let _ = write!(self.out, "%{id} = ");
+                self.out.push(':');
+                push_decimal(self.out, num_results as u32);
             }
+            self.out.push_str(" = ");
         }
         let name = op.name(ctx);
         let custom = if self.generic {
             None
         } else {
-            ctx.op_info(op).and_then(|i| i.syntax.clone())
+            ctx.op_info(op).and_then(|i| i.syntax.as_deref())
         };
         match custom {
             Some(syntax) => {
-                let _ = write!(
-                    self.out,
-                    "{}.{}",
-                    ctx.symbol_str(name.dialect),
-                    ctx.symbol_str(name.name)
-                );
+                self.push_op_name(ctx, name);
                 syntax.print(ctx, op, self);
             }
             None => self.print_op_generic_body(ctx, op),
@@ -392,48 +433,43 @@ impl<'w> Printer<'w> {
     }
 
     fn print_op_generic_body(&mut self, ctx: &Context, op: OpRef) {
-        let name = op.name(ctx);
-        let _ = write!(
-            self.out,
-            "\"{}.{}\"(",
-            ctx.symbol_str(name.dialect),
-            ctx.symbol_str(name.name)
-        );
-        for i in 0..op.num_operands(ctx) {
+        let data = ctx.op_data(op);
+        self.out.push('"');
+        self.push_op_name(ctx, data.name);
+        self.out.push_str("\"(");
+        for (i, &operand) in data.operands.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let operand = op.operands(ctx)[i];
             self.print_value(ctx, operand);
         }
         self.out.push(')');
-        if !op.successors(ctx).is_empty() {
+        if !data.successors.is_empty() {
             self.out.push('[');
-            for i in 0..op.successors(ctx).len() {
+            for (i, &successor) in data.successors.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                self.print_block_name(op.successors(ctx)[i]);
+                self.print_block_name(successor);
             }
             self.out.push(']');
         }
-        if !op.regions(ctx).is_empty() {
+        if !data.regions.is_empty() {
             self.out.push_str(" (");
-            for i in 0..op.regions(ctx).len() {
+            for (i, &region) in data.regions.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                self.print_region(ctx, op.regions(ctx)[i]);
+                self.print_region(ctx, region);
             }
             self.out.push(')');
         }
-        if !op.attributes(ctx).is_empty() {
+        if !data.attributes.is_empty() {
             self.out.push_str(" {");
-            for i in 0..op.attributes(ctx).len() {
+            for (i, &(key, value)) in data.attributes.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                let (key, value) = op.attributes(ctx)[i];
                 self.print_attr_key(ctx, key);
                 self.out.push_str(" = ");
                 self.print_attribute(ctx, value);
@@ -441,20 +477,24 @@ impl<'w> Printer<'w> {
             self.out.push('}');
         }
         self.out.push_str(" : (");
-        for i in 0..op.num_operands(ctx) {
+        for (i, &operand) in data.operands.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let ty = op.operands(ctx)[i].ty(ctx);
-            self.print_type(ctx, ty);
+            self.print_type(ctx, operand.ty(ctx));
         }
         self.out.push_str(") -> ");
-        if op.result_types(ctx).is_empty() {
+        if data.result_types.is_empty() {
             self.out.push_str("()");
         } else {
-            let types = op.result_types(ctx);
-            self.print_type_list_grouped(ctx, types);
+            self.print_type_list_grouped(ctx, &data.result_types);
         }
+    }
+
+    fn push_op_name(&mut self, ctx: &Context, name: crate::OpName) {
+        self.out.push_str(ctx.symbol_str(name.dialect));
+        self.out.push('.');
+        self.out.push_str(ctx.symbol_str(name.name));
     }
 
     /// Prints a region: `{ blocks }` with indented operations.
@@ -472,16 +512,14 @@ impl<'w> Printer<'w> {
             && blocks[0].num_args(ctx) == 0
             && !blocks[0].ops(ctx).is_empty()
             && !entry_targeted;
-        for i in 0..region.blocks(ctx).len() {
-            let block = region.blocks(ctx)[i];
+        for (i, &block) in blocks.iter().enumerate() {
             if !(single_plain_entry && i == 0) {
                 self.indent -= 1;
                 self.newline();
                 self.indent += 1;
                 self.print_block_header(ctx, block);
             }
-            for j in 0..block.ops(ctx).len() {
-                let op = block.ops(ctx)[j];
+            for &op in block.ops(ctx) {
                 self.newline();
                 self.print_op(ctx, op);
             }
@@ -518,13 +556,25 @@ impl<'w> Printer<'w> {
 /// printing performs zero heap allocations per operation.
 pub fn print_op_into(ctx: &Context, op: OpRef, out: &mut String, scratch: &mut PrintScratch) {
     let mut p = Printer::new(out);
-    std::mem::swap(&mut p.value_ids, &mut scratch.value_ids);
-    std::mem::swap(&mut p.block_ids, &mut scratch.block_ids);
-    p.value_ids.clear();
-    p.block_ids.clear();
+    std::mem::swap(&mut p.names, &mut scratch.names);
+    p.names.reset();
     p.print_op(ctx, op);
-    std::mem::swap(&mut p.value_ids, &mut scratch.value_ids);
-    std::mem::swap(&mut p.block_ids, &mut scratch.block_ids);
+    std::mem::swap(&mut p.names, &mut scratch.names);
+}
+
+/// Appends `value` in decimal, bypassing `core::fmt` on the hot path.
+fn push_decimal(out: &mut String, mut value: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// Renders a type to a string.
@@ -721,5 +771,60 @@ mod tests {
         out.clear();
         print_op_into(&ctx, op, &mut out, &mut scratch);
         assert_eq!(out, "%0 = \"test.source\"() : () -> f32");
+    }
+
+    /// A scratch reused across modules must forget the first module's
+    /// names even when the second module reuses its arena slots.
+    #[test]
+    fn print_op_into_forgets_names_across_reused_slots() {
+        let first = "%a, %b = \"t.pair\"() : () -> (f32, f32)\n\
+                     %c = \"t.one\"(%b) : (f32) -> f32\n\
+                     %d = \"t.one\"(%c) : (f32) -> f32\n\
+                     %e = \"t.one\"(%d) : (f32) -> f32\n\
+                     \"t.br\"(%e)[^x] : (f32) -> ()\n";
+        let second = "\"t.wrap\"() ({\n\
+                      ^bb0(%p: i32):\n\
+                      %q = \"t.neg\"(%p) : (i32) -> i32\n\
+                      \"t.br\"(%q)[^bb1] : (i32) -> ()\n\
+                      ^bb1(%r: i32):\n\
+                      %s:2 = \"t.split\"(%r, %p) : (i32, i32) -> (i32, f32)\n\
+                      \"t.use\"(%s#1, %s#0, %r) : (f32, i32, i32) -> ()\n\
+                      }) : () -> ()\n\
+                      %t = \"t.last\"() : () -> i32\n";
+        let mut ctx = Context::new();
+        let mut scratch = PrintScratch::default();
+        let mut out = String::new();
+
+        let module = crate::parse::parse_module(&mut ctx, first).unwrap();
+        print_op_into(&ctx, module, &mut out, &mut scratch);
+        assert_eq!(out, op_to_string(&ctx, module));
+        ctx.erase_op(module);
+
+        let module = crate::parse::parse_module(&mut ctx, second).unwrap();
+        out.clear();
+        print_op_into(&ctx, module, &mut out, &mut scratch);
+        assert_eq!(out, op_to_string(&ctx, module));
+        assert!(out.contains("^bb1(%2: i32):"), "{out}");
+    }
+
+    #[test]
+    fn decimal_matches_display() {
+        for value in [0, 7, 10, 99, 100, 65_535, 1_000_000, u32::MAX] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, value);
+            assert_eq!(out, format!("x{value}"));
+        }
+    }
+
+    #[test]
+    fn indentation_is_two_spaces_per_level_at_any_depth() {
+        for depth in [0, 1, 63, 64, 65, 200] {
+            let mut text = String::new();
+            let mut p = Printer::new(&mut text);
+            p.indent = depth;
+            p.newline();
+            assert_eq!(text.len(), 1 + 2 * depth);
+            assert!(text[1..].bytes().all(|b| b == b' '));
+        }
     }
 }

@@ -7,7 +7,10 @@
 //! - the erase path no longer clones operand vectors: erasing a warmed
 //!   subtree is allocation-free;
 //! - text parse stays within the membench construction budget
-//!   (≤ 3 allocs/op) and bytecode decode within ≤ 2 allocs/op.
+//!   (≤ 3 allocs/op) and bytecode decode within ≤ 2 allocs/op;
+//! - the module writers allocate per module, not per op: encoding a
+//!   10⁴-op module, or printing it into a reserved `String`, stays under
+//!   a fixed allocation ceiling.
 //!
 //! Everything runs inside one `#[test]` so no concurrent test thread can
 //! perturb the global counter.
@@ -18,7 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use irdl_ir::bytecode::{decode_module, encode_module};
 use irdl_ir::parse::parse_module;
-use irdl_ir::{Context, OperationState};
+use irdl_ir::print::Printer;
+use irdl_ir::{Context, OpRef, OperationState};
 
 struct CountingAlloc;
 
@@ -174,6 +178,69 @@ fn check_decode_budget(ctx: &mut Context) {
     assert!(per_op <= 2.0, "decode at {per_op:.2} allocs/op exceeds the 2.0 gate");
 }
 
+/// A module of `ops` three-operand ops that opens a nested region (with a
+/// block argument) every 500 ops, so the writers see depth as well as
+/// width.
+fn nested_module(ctx: &mut Context, ops: usize) -> OpRef {
+    let f32t = ctx.f32_type();
+    let node = ctx.op_name("t", "node");
+    let wrap = ctx.op_name("t", "wrap");
+    let key = ctx.symbol("k");
+    let attr = ctx.i32_attr(3);
+    let module = ctx.create_module();
+    let mut block = ctx.module_block(module);
+    let src = ctx.create_op(OperationState::new(node).add_result_types([f32t]));
+    ctx.append_op(block, src);
+    let mut values = vec![src.result(ctx, 0)];
+    for i in 0..ops {
+        if i % 500 == 499 {
+            let (region, entry) = ctx.create_region_with_entry([f32t]);
+            let op = ctx.create_op(OperationState::new(wrap).add_regions([region]));
+            ctx.append_op(block, op);
+            block = entry;
+            values.push(entry.arg(ctx, 0));
+            continue;
+        }
+        let n = values.len();
+        let operands = [values[n - 1], values[n / 2], values[i % n]];
+        let op = ctx.create_op(
+            OperationState::new(node)
+                .add_operands(operands)
+                .add_result_types([f32t])
+                .add_attribute(key, attr),
+        );
+        ctx.append_op(block, op);
+        values.push(op.result(ctx, 0));
+    }
+    module
+}
+
+/// Encoding and printing allocate a bounded number of times per module,
+/// however many ops it holds: no per-op list copies, no per-region
+/// buffers, no hash-map growth with the value count. What is left grows
+/// only logarithmically (output buffers doubling): 61 encode and 4 print
+/// allocations at 10⁴ ops.
+fn check_writers_alloc_ceiling(ctx: &mut Context) {
+    const OPS: usize = 10_000;
+    const ENCODE_CEILING: u64 = 128;
+    const PRINT_CEILING: u64 = 8;
+    let module = nested_module(ctx, OPS);
+    let warm = encode_module(ctx, module).expect("module encodes");
+    let mut text = String::new();
+    Printer::new(&mut text).print_op(ctx, module);
+
+    let mut bytes = Vec::new();
+    let encode = count(|| bytes = encode_module(ctx, module).expect("module encodes"));
+    assert_eq!(bytes, warm);
+    assert!(encode <= ENCODE_CEILING, "encode made {encode} allocations for {OPS} ops");
+
+    let mut out = String::with_capacity(text.len());
+    let used = count(|| Printer::new(&mut out).print_op(ctx, module));
+    assert_eq!(out, text);
+    assert!(used <= PRINT_CEILING, "print made {used} allocations for {OPS} ops");
+    ctx.erase_op(module);
+}
+
 #[test]
 fn compact_storage_alloc_gates() {
     let mut ctx = Context::new();
@@ -181,4 +248,5 @@ fn compact_storage_alloc_gates() {
     check_erase_subtree_no_alloc(&mut ctx);
     check_parse_budget(&mut ctx);
     check_decode_budget(&mut ctx);
+    check_writers_alloc_ceiling(&mut ctx);
 }

@@ -5,12 +5,15 @@
 //! Two layers of coverage:
 //! - pinned hand-corrupted fixtures under `tests/fixtures/bytecode/`, so
 //!   the exact bytes that once exercised each reject path stay in the
-//!   repository and keep failing the same way, and
+//!   repository and keep failing the same way,
+//! - a pinned encoder output (`nested.irbc`), so a change to the writer
+//!   that moves a single byte fails here, and
 //! - programmatic sweeps (every truncation length, single-byte
 //!   overwrites at every offset) over a known-good file, so new decoder
 //!   code is immediately exposed to the whole corruption surface.
 
-use irdl_repro::ir::bytecode::decode_module;
+use irdl_repro::ir::bytecode::{decode_module, encode_module};
+use irdl_repro::ir::parse::parse_module;
 use irdl_repro::ir::print::op_to_string;
 use irdl_repro::ir::Context;
 use irdl_repro::irdl::DialectBundle;
@@ -28,6 +31,28 @@ fn valid_fixture_decodes_to_pinned_text() {
     let mut ctx = Context::new();
     let module = decode_module(&mut ctx, &bytes).expect("valid fixture decodes");
     assert_eq!(format!("{}\n", op_to_string(&ctx, module)), expected);
+}
+
+/// The encoder's bytes are pinned. `nested.mlir` nests regions eight
+/// levels deep, with block arguments, successors and attributes, and is
+/// long enough that the outer region length prefixes take two and three
+/// bytes. Encoding its parse, and re-encoding its decode, must both give
+/// `nested.irbc` byte for byte.
+#[test]
+fn encoder_output_is_pinned() {
+    let pinned = fixture("nested.irbc");
+    let text = String::from_utf8(fixture("nested.mlir")).unwrap();
+
+    let mut ctx = Context::new();
+    let module = parse_module(&mut ctx, &text).expect("nested fixture parses");
+    let encoded = encode_module(&ctx, module).expect("nested fixture encodes");
+    assert!(encoded == pinned, "encode(parse(nested.mlir)) differs from nested.irbc");
+
+    let mut ctx = Context::new();
+    let decoded = decode_module(&mut ctx, &pinned).expect("nested fixture decodes");
+    let reencoded = encode_module(&ctx, decoded).expect("decoded fixture encodes");
+    assert!(reencoded == pinned, "encode(decode(nested.irbc)) differs from nested.irbc");
+    assert_eq!(format!("{}\n", op_to_string(&ctx, decoded)), text);
 }
 
 #[test]
